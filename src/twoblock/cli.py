@@ -36,6 +36,7 @@ from .errors import (
     NotStrong,
     ParseError,
     PreconditionViolated,
+    StructuralViolation,
     TwoBlockError,
 )
 from .hamiltonian import color_hamiltonian
@@ -76,7 +77,8 @@ def _resolve_cap(args: argparse.Namespace) -> int | None:
 
 
 def _emit_coloring(args, d: Digraph, coloring, extra: dict | None = None) -> None:
-    assert is_proper(underlying_graph(d), coloring)
+    if not is_proper(underlying_graph(d), coloring):
+        raise StructuralViolation("emitted coloring is not proper")
     if args.json:
         payload = {"coloring": io.coloring_to_dict(coloring)}
         if extra:
@@ -156,7 +158,8 @@ def _induced_cycle_check(args, d: Digraph, ham: DiCycle) -> int:
         return EXIT_OK
     u, v = chord
     cert = TwoBlockCertificate(u, v, DiPath(chord), cycle_segment(ham, u, v), 1, 1)
-    assert verify_certificate(d, cert, 1, 1)
+    if not verify_certificate(d, cert, 1, 1):
+        raise StructuralViolation("chord certificate failed verification")
     print("input contains a two-block cycle; certificate follows")
     print(io.to_json(cert.to_json_dict()))
     return EXIT_OK
@@ -166,11 +169,12 @@ def _cmd_chromatic(args) -> int:
     d = io.read_edge_list(args.file)
     cap = _resolve_cap(args)
     chi, coloring = chromatic_number(underlying_graph(d), cap=cap)
+    if not is_proper(underlying_graph(d), coloring):
+        raise StructuralViolation("chromatic coloring is not proper")
     if args.json:
         print(io.to_json({"chi": chi, "coloring": io.coloring_to_dict(coloring)}))
     else:
         print(f"chromatic number: {chi}")
-    assert is_proper(underlying_graph(d), coloring)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(io.write_dot(d, coloring))

@@ -16,13 +16,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .digraph import Digraph, DiCycle, DiPath, cycle_segment, path_in, reach_mask
+from .digraph import (
+    Digraph,
+    DiCycle,
+    DiPath,
+    cycle_segment,
+    iter_bits,
+    path_in,
+    reach_mask,
+)
 from .errors import (
     Acyclic,
     CapExceeded,
     NotAChord,
     NotOnCycle,
     PreconditionViolated,
+    StructuralViolation,
 )
 
 DEFAULT_DETECT_CAP = 12
@@ -113,7 +122,18 @@ def _certificate(
         return TwoBlockCertificate(u, v, DiPath(p), DiPath(q), k, ell)
     if lq >= k and lp >= ell:
         return TwoBlockCertificate(u, v, DiPath(q), DiPath(p), k, ell)
-    raise AssertionError("internal: path pair does not fit the requested roles")
+    raise StructuralViolation("internal: path pair does not fit the requested roles")
+
+
+def _checked(
+    d: Digraph, cert: TwoBlockCertificate, k: int, ell: int
+) -> TwoBlockCertificate:
+    # Every certificate is re-verified before it leaves this module.
+    if not verify_certificate(d, cert, k, ell):
+        raise StructuralViolation(
+            f"internal: certificate for c({k}, {ell}) failed verification"
+        )
+    return cert
 
 
 def _find_long_path(
@@ -216,7 +236,7 @@ def _pair_search(
                 m ^= low
                 order.append(low.bit_length() - 1)
         else:
-            order = list(_bits(nbrs))
+            order = list(iter_bits(nbrs))
             rng.shuffle(order)
         for x in order:
             low = 1 << x
@@ -243,13 +263,24 @@ def _pair_search(
     return None
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+def _two_disjoint_paths(
+    out_mask: tuple[int, ...], in_mask: tuple[int, ...], u: int, v: int, region: int
+) -> bool:
+    """Whether ``region`` holds two internally disjoint u->v paths.
+
+    By Menger's theorem this holds iff v is reachable from u and no single
+    vertex of ``region`` other than u and v separates them.  With the arc
+    u->v present, the arc is one path and the other needs an interior vertex.
+    """
+    ubit, vbit = 1 << u, 1 << v
+    if (out_mask[u] >> v) & 1:
+        return bool(reach_mask(out_mask, u, region & ~vbit) & ~ubit & in_mask[v])
+    if not reach_mask(out_mask, u, region) & vbit:
+        return False
+    for w in iter_bits(region & ~ubit & ~vbit):
+        if not reach_mask(out_mask, u, region & ~(1 << w)) & vbit:
+            return False
+    return True
 
 
 def find_two_block_cycle(
@@ -266,6 +297,11 @@ def find_two_block_cycle(
     Within the cap the search is exhaustive, so a negative is a proof.  Above
     the cap, strict mode raises :class:`CapExceeded`; heuristic mode runs a
     randomized search and returns a ``capped`` report when it finds nothing.
+
+    A pair (u, v) is searched only if v is reachable from u, enough vertices
+    lie between them, and they are joined by two internally disjoint paths;
+    no other pair can carry a certificate.  An exhaustive report's
+    ``pairs_checked`` is the number of pairs searched.
     """
     if k < 1 or ell < 1:
         raise PreconditionViolated("k and ell must be positive")
@@ -280,20 +316,24 @@ def find_two_block_cycle(
     n = d.n
     full = (1 << n) - 1
     need_interior = (kk - 1) + (ll - 1)
+    out_mask, in_mask = d.out_mask, d.in_mask
+    searched = 0
     for u in range(n):
-        reach_u = reach_mask(d.out_mask, u, full)
+        reach_u = reach_mask(out_mask, u, full)
         for v in range(n):
             if v == u or not (reach_u >> v) & 1:
                 continue
-            region = reach_u & reach_mask(d.in_mask, v, full)
+            region = reach_u & reach_mask(in_mask, v, full)
             if region.bit_count() - 2 < need_interior:
                 continue
+            if not _two_disjoint_paths(out_mask, in_mask, u, v, region):
+                continue
+            searched += 1
             pair = _pair_search(d, u, v, region, kk, ll)
             if pair is not None:
                 cert = _certificate(u, v, pair[0], pair[1], k, ell)
-                assert verify_certificate(d, cert, k, ell)
-                return cert
-    return AbsenceReport(k, ell, "exhaustive", n * (n - 1))
+                return _checked(d, cert, k, ell)
+    return AbsenceReport(k, ell, "exhaustive", searched)
 
 
 def _heuristic_find(
@@ -317,8 +357,7 @@ def _heuristic_find(
         pair = _pair_search(d, u, v, region, kk, ll, rng=rng, budget=budget)
         if pair is not None:
             cert = _certificate(u, v, pair[0], pair[1], k, ell)
-            assert verify_certificate(d, cert, k, ell)
-            return cert
+            return _checked(d, cert, k, ell)
     return AbsenceReport(k, ell, "capped", tries)
 
 
@@ -397,9 +436,7 @@ def find_two_block_cycle_through_arc(
         return False
 
     if suffix_dfs(bbit):
-        cert = found[0]
-        assert verify_certificate(d, cert, k, ell)
-        return cert
+        return _checked(d, found[0], k, ell)
     return None
 
 

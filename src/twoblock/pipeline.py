@@ -373,7 +373,10 @@ def extract_cycle_tree(trace: ContractionTrace, s: int) -> CycleTree | None:
             continue
         s_set = pm.of(v_s)
         if not ordering:
-            assert cur == {v_s}  # the tree is empty only while the class is one vertex
+            if cur != {v_s}:
+                raise StructuralViolation(
+                    "empty cycle-tree for a class of more than one vertex"
+                )
             cur = set(s_set)
             ordering = [list(step.cycle.vertices)]
             continue
@@ -400,7 +403,10 @@ def extract_cycle_tree(trace: ContractionTrace, s: int) -> CycleTree | None:
             new_ordering.append(
                 [attach if q == v_s else single(pm, q) for q in cyc]
             )
-        assert first_touch is not None
+        if first_touch is None:
+            raise StructuralViolation(
+                "no tree cycle passes through the contracted vertex"
+            )
         new_ordering.insert(first_touch + 1, list(step.cycle.vertices))
         ordering = new_ordering
         cur = set().union(*(pm.of(x) for x in cur))
@@ -499,7 +505,8 @@ def phi_labeling(f: Digraph, tree: CycleTree, ell: int) -> PhiLabels:
             labels.append(0)
             continue
         p = tree.parent_vertex[home]
-        assert p is not None
+        if p is None:
+            raise StructuralViolation("non-root tree cycle without a parent vertex")
         if p == v:
             raise StructuralViolation(
                 "home cycle's parent vertex coincides with the vertex itself"
@@ -528,7 +535,8 @@ def split_arcs(f: Digraph, tree: CycleTree, labels: PhiLabels) -> ArcSplit:
         else:
             f1.add((t, h))
     for t, h in f2:
-        assert labels.labels[t] != labels.labels[h]
+        if labels.labels[t] == labels.labels[h]:
+            raise StructuralViolation(f"F2 arc ({t},{h}) joins equal labels")
     return ArcSplit(frozenset(f1), frozenset(f2))
 
 
@@ -619,7 +627,8 @@ def _closest_cycle_pair(
                 ties = 1
             elif len(lam) == len(best[2]):
                 ties += 1
-    assert best is not None
+    if best is None:
+        raise StructuralViolation(f"no tree cycle pair for external arc ({x},{y})")
     if ties != 1:
         raise StructuralViolation(
             f"closest cycle pair for external arc ({x},{y}) is ambiguous"
@@ -771,7 +780,8 @@ def run_pipeline(
         palettes.append(col_f.palette_size)
         for i, orig_v in enumerate(orig):
             combined[orig_v] = (base.colors[s], col_f.colors[i])
-    assert all(c is not None for c in combined)
+    if any(c is None for c in combined):
+        raise StructuralViolation("a vertex of the input received no color")
     palette = sorted(set(combined))  # type: ignore[arg-type]
     index = {p: i for i, p in enumerate(palette)}
     coloring = Coloring(tuple(index[c] for c in combined), len(palette))

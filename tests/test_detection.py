@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twoblock import detection
 from twoblock.detection import (
     AbsenceReport,
     CrossingException,
     TwoBlockCertificate,
+    _pair_search,
+    _two_disjoint_paths,
     crossing_chord_case,
     find_two_block_cycle,
     find_two_block_cycle_through_arc,
@@ -24,6 +27,7 @@ from twoblock.digraph import (
     Digraph,
     build_digraph,
     is_strong,
+    reach_mask,
     underlying_graph,
 )
 from twoblock.errors import (
@@ -31,6 +35,7 @@ from twoblock.errors import (
     CapExceeded,
     NotAChord,
     PreconditionViolated,
+    StructuralViolation,
 )
 
 from conftest import digraphs
@@ -39,6 +44,7 @@ from oracles import (
     oracle_longest_cycle_length,
     oracle_two_block,
     random_digraph,
+    two_block_pairs,
 )
 
 
@@ -55,7 +61,7 @@ class TestFindTwoBlockCycle:
         result = find_two_block_cycle(fig1, 4, 1)
         assert isinstance(result, AbsenceReport)
         assert result.mode == "exhaustive"
-        assert result.pairs_checked == 20
+        assert result.pairs_checked == 13
 
     def test_directed_cycle_never_has_one(self):
         d = directed_cycle(5)
@@ -95,6 +101,88 @@ class TestFindTwoBlockCycle:
     def test_digon_is_not_c11(self):
         d = build_digraph(2, [(0, 1), (1, 0)])
         assert isinstance(find_two_block_cycle(d, 1, 1), AbsenceReport)
+
+    def test_pairs_checked_counts_searched_pairs(self, fig1):
+        # Figure 1 is strong and every pair's region is all five vertices,
+        # so exactly the pairs joined by two disjoint paths are searched.
+        joined = sum(
+            1
+            for u in range(5)
+            for v in range(5)
+            if u != v and two_block_pairs(fig1, u, v)
+        )
+        assert joined == 13 < 5 * 4
+        assert find_two_block_cycle(fig1, 4, 1).pairs_checked == joined
+        assert find_two_block_cycle(directed_cycle(6), 1, 1).pairs_checked == 0
+
+    def test_failed_verification_raises(self, monkeypatch):
+        monkeypatch.setattr(detection, "verify_certificate", lambda *args: False)
+        with pytest.raises(StructuralViolation):
+            find_two_block_cycle(c5_with_chord(), 2, 1)
+        with pytest.raises(StructuralViolation):
+            find_two_block_cycle_through_arc(c5_with_chord(), 2, 1, (0, 2))
+
+    def test_unfitting_path_pair_raises(self):
+        with pytest.raises(StructuralViolation):
+            detection._certificate(0, 2, (0, 2), (0, 1, 2), 3, 1)
+
+
+def full_region(d, u, v):
+    full = (1 << d.n) - 1
+    return reach_mask(d.out_mask, u, full) & reach_mask(d.in_mask, v, full)
+
+
+def gate(d, u, v):
+    return _two_disjoint_paths(d.out_mask, d.in_mask, u, v, full_region(d, u, v))
+
+
+class TestTwoDisjointPathsGate:
+    def test_digon(self):
+        d = build_digraph(2, [(0, 1), (1, 0)])
+        assert not gate(d, 0, 1) and not gate(d, 1, 0)
+
+    def test_direct_arc_plus_two_path(self):
+        d = build_digraph(3, [(0, 1), (1, 2), (0, 2)])
+        assert gate(d, 0, 2)
+        assert not gate(d, 0, 1) and not gate(d, 1, 2)
+
+    def test_lone_arc_is_one_path(self):
+        assert not gate(build_digraph(2, [(0, 1)]), 0, 1)
+
+    def test_theta_with_cut_vertex(self):
+        # Two diamonds 0 => 3 => 6 in series: 3 separates 0 from 6.
+        arcs = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)]
+        d = build_digraph(7, arcs)
+        assert gate(d, 0, 3) and gate(d, 3, 6)
+        assert not gate(d, 0, 6)
+        assert not gate(d, 1, 6)
+
+    def test_unreachable(self):
+        d = build_digraph(3, [(0, 1), (1, 2)])
+        assert not gate(d, 2, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs(min_n=2, max_n=6))
+def test_gate_matches_oracle(d):
+    for u in range(d.n):
+        for v in range(d.n):
+            if u != v:
+                assert gate(d, u, v) == bool(two_block_pairs(d, u, v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraphs(min_n=2, max_n=6))
+def test_rejected_pairs_have_no_pair_search_result(d):
+    n = d.n
+    for u in range(n):
+        for v in range(n):
+            if u == v or gate(d, u, v):
+                continue
+            region = full_region(d, u, v)
+            for kk in range(1, n):
+                for ll in range(1, min(kk, n - kk) + 1):
+                    assert _pair_search(d, u, v, region, kk, ll) is None
 
 
 class TestVerifyCertificate:
