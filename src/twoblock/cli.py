@@ -11,8 +11,9 @@ import os
 import sys
 
 from . import harness, io
-from .coloring import chromatic_number, is_proper
+from .coloring import DEFAULT_COLOR_CAP, chromatic_number, is_proper
 from .detection import (
+    DEFAULT_CYCLE_CAP,
     AbsenceReport,
     TwoBlockCertificate,
     find_two_block_cycle,
@@ -38,6 +39,7 @@ from .errors import (
     PreconditionViolated,
     StructuralViolation,
     TwoBlockError,
+    UsageError,
 )
 from .hamiltonian import color_hamiltonian
 from .pipeline import pipeline_report, run_pipeline
@@ -67,13 +69,19 @@ def _env_cap() -> int | None:
     try:
         return int(raw)
     except ValueError:
-        return None
+        raise UsageError(f"TWOBLOCK_CAP must be an integer, got {raw!r}") from None
 
 
 def _resolve_cap(args: argparse.Namespace) -> int | None:
     if getattr(args, "cap", None) is not None:
         return args.cap
     return _env_cap()
+
+
+def _at_least(cap: int | None, default: int) -> int | None:
+    # The detection cap applies as given; every other cap is raised by it
+    # but never lowered below its own default.
+    return None if cap is None else max(cap, default)
 
 
 def _emit_coloring(args, d: Digraph, coloring, extra: dict | None = None) -> None:
@@ -112,8 +120,8 @@ def _cmd_color(args) -> int:
         args.k,
         args.ell,
         detect_cap=cap,
-        cycle_cap=max(cap, 20) if cap else None,
-        color_cap=max(cap, 16) if cap else None,
+        cycle_cap=_at_least(cap, DEFAULT_CYCLE_CAP),
+        color_cap=_at_least(cap, DEFAULT_COLOR_CAP),
         strict=args.strict,
     )
     if isinstance(result, TwoBlockCertificate):
@@ -134,7 +142,7 @@ def _cmd_color(args) -> int:
 def _cmd_ham_color(args) -> int:
     d = io.read_edge_list(args.file)
     cap = _resolve_cap(args)
-    ham = hamiltonian_cycle(d, cap=max(cap, 20) if cap else None)
+    ham = hamiltonian_cycle(d, cap=_at_least(cap, DEFAULT_CYCLE_CAP))
     if ham is None:
         raise NotHamiltonian("input has no Hamiltonian cycle")
     if args.k + args.ell == 2:
@@ -168,7 +176,9 @@ def _induced_cycle_check(args, d: Digraph, ham: DiCycle) -> int:
 def _cmd_chromatic(args) -> int:
     d = io.read_edge_list(args.file)
     cap = _resolve_cap(args)
-    chi, coloring = chromatic_number(underlying_graph(d), cap=cap)
+    chi, coloring = chromatic_number(
+        underlying_graph(d), cap=_at_least(cap, DEFAULT_COLOR_CAP)
+    )
     if not is_proper(underlying_graph(d), coloring):
         raise StructuralViolation("chromatic coloring is not proper")
     if args.json:
@@ -185,7 +195,9 @@ def _cmd_longest_cycle(args) -> int:
     d = io.read_edge_list(args.file)
     cap = _resolve_cap(args)
     try:
-        cycle = longest_cycle(d, cap=cap, strict=args.strict)
+        cycle = longest_cycle(
+            d, cap=_at_least(cap, DEFAULT_CYCLE_CAP), strict=args.strict
+        )
     except Acyclic:
         print("acyclic: the digraph contains no directed cycle")
         return EXIT_NEGATIVE

@@ -5,16 +5,22 @@ directed paths from some vertex ``u`` to some other vertex ``v``, of lengths
 at least ``k`` and at least ``ell``.  A digon is not a two-block cycle: its
 two arcs run in opposite directions, not from ``u`` to ``v`` twice.
 
-The searches are exponential but aggressively pruned with bitmask
-reachability, which keeps exhaustive proofs comfortable at desk scale.
-Beyond the cap, strict mode refuses and heuristic mode falls back to a
-randomized search whose negatives are explicitly tagged as unverified.
+Every search runs on one iterative path kernel, ``_paths``, which yields
+the simple u->v paths (or the cycles through u) of a given minimum length
+in depth-first order and prunes with bitmask reachability; arc-anchored
+detection adds ``_walks``, a plain preorder path enumerator.  Neither
+recurses, so path length is not bounded by the interpreter's recursion
+limit.  The searches are exponential, but the pruning keeps exhaustive
+proofs comfortable at desk scale.  Beyond the cap, strict mode refuses and
+heuristic mode falls back to a randomized search whose negatives are
+explicitly tagged as unverified.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .digraph import (
     Digraph,
@@ -136,56 +142,135 @@ def _checked(
     return cert
 
 
-def _find_long_path(
+def _order(mask: int, rng: random.Random | None) -> Iterator[int]:
+    # The set bits of ``mask`` ascending, or in an order shuffled by ``rng``.
+    # Built as a list because iterating one is cheaper in the search loop
+    # than resuming the ``iter_bits`` generator.
+    order = []
+    while mask:
+        low = mask & -mask
+        order.append(low.bit_length() - 1)
+        mask ^= low
+    if rng is not None:
+        rng.shuffle(order)
+    return iter(order)
+
+
+def _paths(
     out_mask: tuple[int, ...],
     in_mask: tuple[int, ...],
     u: int,
     v: int,
     allowed: int,
-    target: int,
+    min_len: int,
+    rng: random.Random | None = None,
     budget: list[int] | None = None,
-) -> tuple[int, ...] | None:
-    """One simple u->v path of length >= target inside ``allowed``, or None."""
+) -> Iterator[list[int]]:
+    """Every simple u->v path inside ``allowed`` with at least ``min_len`` arcs.
+
+    Paths come in depth-first order with out-neighbours ascending (shuffled
+    by ``rng`` when given), each as the live vertex list without ``v``; with
+    ``u == v`` they are the cycles through ``u``.  A branch is cut once ``v``
+    becomes unreachable or too few vertices remain to reach ``min_len``.
+    Every expanded vertex costs one unit of ``budget``; once it is spent no
+    further vertex is expanded.
+    """
     co = reach_mask(in_mask, v, allowed)
     if not (co >> u) & 1:
-        return None
+        return
+    if budget is not None:
+        if budget[0] <= 0:
+            return
+        budget[0] -= 1
     vbit = 1 << v
     path = [u]
-
-    def dfs(w: int, used: int) -> bool:
-        if budget is not None:
-            if budget[0] <= 0:
-                return False
-            budget[0] -= 1
-        length = len(path) - 1
-        nbrs = out_mask[w] & allowed & ~used
-        m = nbrs
-        while m:
-            low = m & -m
-            m ^= low
-            x = low.bit_length() - 1
+    used = 1 << u
+    # ``todo`` holds the unexplored out-neighbours of the last path vertex and
+    # ``used`` the path's vertices; ``stack`` saves both for every earlier
+    # vertex.  ``v`` stays a candidate even when used, which closes the
+    # cycles through ``u == v``.
+    todo = _order(out_mask[u] & allowed & (~used | vbit), rng)
+    stack = []
+    while True:
+        for x in todo:
             if x == v:
-                if length + 1 >= target:
-                    path.append(v)
-                    return True
+                if len(path) >= min_len:
+                    yield path
                 continue
             if not (co >> x) & 1:
                 continue
+            low = 1 << x
             new_used = used | low
-            rx = reach_mask(out_mask, x, (allowed & ~new_used) | low)
+            rx = reach_mask(out_mask, x, (allowed & ~new_used) | low | vbit)
             if not rx & vbit:
                 continue
-            if length + 1 + (rx & co & ~low).bit_count() < target:
+            if len(path) + (rx & co & ~low).bit_count() < min_len:
                 continue
+            if budget is not None:
+                if budget[0] <= 0:
+                    continue
+                budget[0] -= 1
+            stack.append((todo, used))
             path.append(x)
-            if dfs(x, new_used):
-                return True
+            used = new_used
+            todo = _order(out_mask[x] & allowed & (~used | vbit), rng)
+            break
+        else:
+            if not stack:
+                return
+            todo, used = stack.pop()
             path.pop()
-        return False
 
-    if dfs(u, 1 << u):
-        return tuple(path)
-    return None
+
+def _walks(
+    adj: tuple[int, ...], start: int, allowed: int
+) -> Iterator[tuple[list[int], int]]:
+    """Every simple path from ``start`` along ``adj`` inside ``allowed``.
+
+    Paths come in preorder with neighbours ascending, each as the live vertex
+    list with the bitmask of its vertices; the first is ``[start]`` alone.
+    """
+    path = [start]
+    used = 1 << start
+    stack = [iter_bits(adj[start] & allowed & ~used)]
+    yield path, used
+    while stack:
+        for x in stack[-1]:
+            path.append(x)
+            used |= 1 << x
+            yield path, used
+            stack.append(iter_bits(adj[x] & allowed & ~used))
+            break
+        else:
+            stack.pop()
+            used &= ~(1 << path.pop())
+
+
+def _second_path(
+    out_mask: tuple[int, ...],
+    in_mask: tuple[int, ...],
+    u: int,
+    v: int,
+    allowed: int,
+    first_len: int,
+    kk: int,
+    ll: int,
+    budget: list[int] | None = None,
+) -> tuple[int, ...] | None:
+    """A u->v path inside ``allowed`` to pair with a first path, or None.
+
+    ``allowed`` excludes the interior of the first path, which has
+    ``first_len`` arcs; the second path is long enough for the two to cover
+    the (kk, ll) roles, kk >= ll.  A first path of one arc needs a second
+    path of two.
+    """
+    if first_len < ll:
+        return None
+    target = kk if first_len < kk else ll
+    if first_len == 1:
+        target = max(target, 2)
+    q = next(_paths(out_mask, in_mask, u, v, allowed, target, budget=budget), None)
+    return None if q is None else (*q, v)
 
 
 def _pair_search(
@@ -200,66 +285,13 @@ def _pair_search(
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Two disjoint u->v paths with lengths covering (kk, ll), kk >= ll."""
     out_mask, in_mask = d.out_mask, d.in_mask
-    co = reach_mask(in_mask, v, region)
-    if not (co >> u) & 1:
-        return None
-    ubit, vbit = 1 << u, 1 << v
-    path = [u]
-    result: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
-    def try_second(used: int) -> bool:
-        plen = len(path)  # arcs of the complete first path including the hop to v
-        if plen < ll:
-            return False
-        q_target = kk if plen < kk else ll
-        if plen == 1:
-            q_target = max(q_target, 2)
-        q_allowed = region & ~(used & ~ubit)
-        q = _find_long_path(out_mask, in_mask, u, v, q_allowed, q_target, budget)
-        if q is None:
-            return False
-        result.append((tuple(path) + (v,), q))
-        return True
-
-    def dfs(w: int, used: int) -> bool:
-        if budget is not None:
-            if budget[0] <= 0:
-                return False
-            budget[0] -= 1
-        length = len(path) - 1
-        nbrs = out_mask[w] & region & ~used
-        if rng is None:
-            order = []
-            m = nbrs
-            while m:
-                low = m & -m
-                m ^= low
-                order.append(low.bit_length() - 1)
-        else:
-            order = list(iter_bits(nbrs))
-            rng.shuffle(order)
-        for x in order:
-            low = 1 << x
-            if x == v:
-                if try_second(used):
-                    return True
-                continue
-            if not (co >> x) & 1:
-                continue
-            new_used = used | low
-            rx = reach_mask(out_mask, x, (region & ~new_used) | low)
-            if not rx & vbit:
-                continue
-            if length + 1 + (rx & co & ~low).bit_count() < ll:
-                continue
-            path.append(x)
-            if dfs(x, new_used):
-                return True
-            path.pop()
-        return False
-
-    if dfs(u, ubit):
-        return result[0]
+    for path in _paths(out_mask, in_mask, u, v, region, ll, rng, budget):
+        allowed = region
+        for x in path[1:]:
+            allowed &= ~(1 << x)
+        q = _second_path(out_mask, in_mask, u, v, allowed, len(path), kk, ll, budget)
+        if q is not None:
+            return (*path, v), q
     return None
 
 
@@ -376,67 +408,20 @@ def find_two_block_cycle_through_arc(
     kk, ll = max(k, ell), min(k, ell)
     out_mask, in_mask = d.out_mask, d.in_mask
     full = (1 << d.n) - 1
-    abit, bbit = 1 << a, 1 << b
-
-    found: list[TwoBlockCertificate] = []
-
-    def q_search(u: int, v: int, r_path: tuple[int, ...]) -> bool:
-        rlen = len(r_path) - 1
-        if rlen < ll:
-            return False
-        q_target = kk if rlen < kk else ll
-        if rlen == 1:
-            q_target = max(q_target, 2)
-        interior = 0
-        for x in r_path[1:-1]:
-            interior |= 1 << x
-        q = _find_long_path(out_mask, in_mask, u, v, full & ~interior, q_target)
-        if q is None:
-            return False
-        found.append(_certificate(u, v, r_path, q, k, ell))
-        return True
-
-    # Suffix paths b -> v, then prefix paths u -> a avoiding the suffix.
-    suffix = [b]
-
-    def prefix_dfs(pused: int, sused: int) -> bool:
-        u = prefix[0]
-        if u != suffix[-1] and q_search(u, suffix[-1], tuple(prefix) + tuple(suffix)):
-            return True
-        preds = in_mask[u] & ~pused & ~sused
-        m = preds
-        while m:
-            low = m & -m
-            m ^= low
-            x = low.bit_length() - 1
-            prefix.insert(0, x)
-            if prefix_dfs(pused | low, sused):
-                return True
-            prefix.pop(0)
-        return False
-
-    prefix = [a]
-
-    def suffix_dfs(sused: int) -> bool:
-        prefix.clear()
-        prefix.append(a)
-        if prefix_dfs(abit, sused):
-            return True
-        w = suffix[-1]
-        nbrs = out_mask[w] & ~sused & ~abit
-        m = nbrs
-        while m:
-            low = m & -m
-            m ^= low
-            x = low.bit_length() - 1
-            suffix.append(x)
-            if suffix_dfs(sused | low):
-                return True
-            suffix.pop()
-        return False
-
-    if suffix_dfs(bbit):
-        return _checked(d, found[0], k, ell)
+    # Suffix paths b -> v avoiding a, then prefix paths u -> a (walked
+    # backwards from a) avoiding the suffix; together they are the first path.
+    for suffix, sused in _walks(out_mask, b, full & ~(1 << a)):
+        v = suffix[-1]
+        for prefix, pused in _walks(in_mask, a, full & ~sused):
+            u = prefix[-1]
+            interior = (pused | sused) & ~(1 << u) & ~(1 << v)
+            first_len = len(prefix) + len(suffix) - 1
+            q = _second_path(
+                out_mask, in_mask, u, v, full & ~interior, first_len, kk, ll
+            )
+            if q is not None:
+                cert = _certificate(u, v, (*prefix[::-1], *suffix), q, k, ell)
+                return _checked(d, cert, k, ell)
     return None
 
 
@@ -455,49 +440,22 @@ def longest_cycle(
         if strict:
             raise CapExceeded(f"exact longest cycle needs n <= {cap}, got {d.n}")
         return _heuristic_longest_cycle(d, seed)
-    best: list[int] | None = None
+    best: tuple[int, ...] = ()
     out_mask, in_mask = d.out_mask, d.in_mask
     full = (1 << d.n) - 1
     for s in range(d.n):
         allowed = full & ~((1 << s) - 1)
-        co_s = reach_mask(in_mask, s, allowed)
-        re_s = reach_mask(out_mask, s, allowed)
-        region = co_s & re_s
-        if region == 1 << s or region.bit_count() <= (len(best) if best else 0):
-            continue
-        sbit = 1 << s
-        path = [s]
-
-        def dfs(w: int, used: int) -> None:
-            nonlocal best
-            nbrs = out_mask[w] & region
-            m = nbrs
-            while m:
-                low = m & -m
-                m ^= low
-                x = low.bit_length() - 1
-                if x == s:
-                    if best is None or len(path) > len(best):
-                        best = path.copy()
-                    continue
-                if used & low:
-                    continue
-                new_used = used | low
-                rx = reach_mask(out_mask, x, (region & ~new_used) | low | sbit)
-                if not rx & sbit:
-                    continue
-                if best is not None:
-                    potential = len(path) + (rx & co_s & ~low & ~sbit).bit_count() + 1
-                    if potential <= len(best):
-                        continue
-                path.append(x)
-                dfs(x, new_used)
-                path.pop()
-
-        dfs(s, sbit)
-    if best is None:
+        region = reach_mask(in_mask, s, allowed) & reach_mask(out_mask, s, allowed)
+        # Each search asks for a strictly longer cycle through s, so the
+        # first cycle found at the final length is the lexicographically least.
+        while region.bit_count() > len(best):
+            cycle = next(_paths(out_mask, in_mask, s, s, region, len(best) + 1), None)
+            if cycle is None:
+                break
+            best = tuple(cycle)
+    if not best:
         raise Acyclic("the digraph contains no directed cycle")
-    return DiCycle(tuple(best))
+    return DiCycle(best)
 
 
 def _heuristic_longest_cycle(d: Digraph, seed: int) -> DiCycle:
@@ -539,40 +497,12 @@ def hamiltonian_cycle(
     if d.n < 2:
         return None
     out_mask, in_mask = d.out_mask, d.in_mask
-    full = (1 << d.n) - 1
+    n = d.n
+    full = (1 << n) - 1
     if reach_mask(out_mask, 0, full) != full or reach_mask(in_mask, 0, full) != full:
         return None
-    n = d.n
-    path = [0]
-
-    def dfs(w: int, used: int) -> bool:
-        nbrs = out_mask[w]
-        m = nbrs
-        while m:
-            low = m & -m
-            m ^= low
-            x = low.bit_length() - 1
-            if x == 0:
-                if len(path) == n:
-                    return True
-                continue
-            if used & low:
-                continue
-            new_used = used | low
-            rx = reach_mask(out_mask, x, (full & ~new_used) | low | 1)
-            if not rx & 1:
-                continue
-            if (full & ~new_used) & ~rx:
-                continue  # some unvisited vertex became unreachable
-            path.append(x)
-            if dfs(x, new_used):
-                return True
-            path.pop()
-        return False
-
-    if dfs(0, 1):
-        return DiCycle(tuple(path))
-    return None
+    cycle = next(_paths(out_mask, in_mask, 0, 0, full, n), None)
+    return None if cycle is None else DiCycle(tuple(cycle))
 
 
 def crossing_chord_case(

@@ -72,3 +72,7 @@ class ParseError(TwoBlockError):
     def __init__(self, message: str, line: int) -> None:
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class UsageError(TwoBlockError):
+    """The command line or its environment holds a malformed setting."""

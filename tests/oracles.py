@@ -88,6 +88,16 @@ def all_cycles(d: Digraph) -> list[tuple[int, ...]]:
     return found
 
 
+def cycles_through(d: Digraph, u: int) -> list[tuple[int, ...]]:
+    """Every simple directed cycle through u, as a closed walk from u to u."""
+    found = []
+    for c in all_cycles(d):
+        if u in c:
+            i = c.index(u)
+            found.append(c[i:] + c[:i] + (u,))
+    return found
+
+
 def oracle_longest_cycle_length(d: Digraph) -> int | None:
     cycles = all_cycles(d)
     if not cycles:

@@ -152,6 +152,17 @@ class TestCommands:
         assert main(["longest-cycle", "--json", c6_file]) == 0
         assert json.loads(capsys.readouterr().out)["length"] == 6
 
+    def test_longest_cycle_cap_never_lowers_default(self, c6_file, capsys):
+        assert main(["longest-cycle", "--json", "--cap", "5", c6_file]) == 0
+        assert json.loads(capsys.readouterr().out)["length"] == 6
+
+    def test_chromatic_cap_never_lowers_default(self, tmp_path, capsys):
+        # An odd wheel needs the backtracking core to rule out 3 colors.
+        arcs = [(i, (i + 1) % 5) for i in range(5)] + [(5, i) for i in range(5)]
+        path = write_graph(tmp_path, "w5.edges", 6, arcs)
+        assert main(["chromatic", "--json", "--cap", "5", path]) == 0
+        assert json.loads(capsys.readouterr().out)["chi"] == 4
+
     def test_longest_cycle_acyclic(self, non_strong_file, capsys):
         assert main(["longest-cycle", non_strong_file]) == 1
 
@@ -176,3 +187,8 @@ class TestCommands:
         )
         monkeypatch.setenv("TWOBLOCK_CAP", "15")
         assert main(["detect", "--k", "2", "--ell", "1", path]) == 1
+
+    def test_malformed_env_cap_is_usage_error(self, c6_file, capsys, monkeypatch):
+        monkeypatch.setenv("TWOBLOCK_CAP", "abc")
+        assert main(["detect", "--k", "2", "--ell", "1", c6_file]) == 2
+        assert "'abc'" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,9 @@ from twoblock.detection import (
     CrossingException,
     TwoBlockCertificate,
     _pair_search,
+    _paths,
     _two_disjoint_paths,
+    _walks,
     crossing_chord_case,
     find_two_block_cycle,
     find_two_block_cycle_through_arc,
@@ -41,6 +45,8 @@ from twoblock.errors import (
 from conftest import digraphs
 from oracles import (
     all_cycles,
+    all_simple_paths,
+    cycles_through,
     oracle_longest_cycle_length,
     oracle_two_block,
     random_digraph,
@@ -183,6 +189,106 @@ def test_rejected_pairs_have_no_pair_search_result(d):
             for kk in range(1, n):
                 for ll in range(1, min(kk, n - kk) + 1):
                     assert _pair_search(d, u, v, region, kk, ll) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs(max_n=6), st.randoms(use_true_random=False))
+def test_path_kernel_matches_oracle(d, rng):
+    # Depth-first order with ascending neighbours is lexicographic order.
+    full = (1 << d.n) - 1
+    for u in range(d.n):
+        for v in range(d.n):
+            paths = all_simple_paths(d, u, v) if u != v else cycles_through(d, u)
+            for min_len in range(d.n + 1):
+                expected = sorted(p for p in paths if len(p) - 1 >= min_len)
+                got = [
+                    (*p, v) for p in _paths(d.out_mask, d.in_mask, u, v, full, min_len)
+                ]
+                assert got == expected
+            shuffled = _paths(d.out_mask, d.in_mask, u, v, full, 0, rng=rng)
+            assert sorted((*p, v) for p in shuffled) == sorted(paths)
+
+
+def preorder_walks(adj, start, allowed):
+    # Brute force: every vertex sequence from start that follows adj.  Tuple
+    # order puts a path before its extensions, which is preorder.
+    rest = [x for x in range(len(adj)) if (allowed >> x) & 1 and x != start]
+    walks = [(start,)]
+    for size in range(1, len(rest) + 1):
+        for tail in permutations(rest, size):
+            walk = (start, *tail)
+            if all((adj[a] >> b) & 1 for a, b in zip(walk, walk[1:])):
+                walks.append(walk)
+    return sorted(walks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs(max_n=6), st.data())
+def test_walks_match_brute_force(d, data):
+    start = data.draw(st.integers(0, d.n - 1))
+    allowed = data.draw(st.integers(0, (1 << d.n) - 1)) | (1 << start)
+    for adj in (d.out_mask, d.in_mask):
+        got = []
+        for walk, used in _walks(adj, start, allowed):
+            assert used == sum(1 << x for x in walk)
+            got.append(tuple(walk))
+        assert got == preorder_walks(adj, start, allowed)
+
+
+class TestIterativeSearches:
+    def test_long_cycle_needs_no_recursion(self):
+        d = directed_cycle(1200)
+        assert hamiltonian_cycle(d, cap=1200).vertices == tuple(range(1200))
+        assert longest_cycle(d, cap=1200).vertices == tuple(range(1200))
+
+    def test_searches_leave_no_reference_cycles(self, fig1):
+        calls = [
+            lambda: find_two_block_cycle(fig1, 4, 1),
+            lambda: find_two_block_cycle(fig1, 2, 1),
+            lambda: find_two_block_cycle(fig1, 4, 1, cap=4, strict=False),
+            lambda: find_two_block_cycle(fig1, 2, 1, cap=4, strict=False),
+            lambda: find_two_block_cycle_through_arc(fig1, 4, 1, (0, 2)),
+            lambda: find_two_block_cycle_through_arc(fig1, 2, 1, (0, 2)),
+            lambda: longest_cycle(fig1),
+            lambda: hamiltonian_cycle(fig1),
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            for call in calls:
+                call()
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+# Heuristic certificates recorded from the recursive searches that the path
+# kernel replaced: (graph seed, n, p, search seed, k, ell, budget, result).
+# Any change to the RNG stream or to the budget accounting shows up here.
+HEURISTIC_PINS = [
+    (3, 9, 0.3, 3, 2, 1, 20000,
+     {"u": 0, "v": 8, "path_a": [0, 1, 8], "path_b": [0, 6, 8]}),
+    (11, 10, 0.3, 7, 3, 2, 20000,
+     {"u": 4, "v": 3, "path_a": [4, 6, 2, 3], "path_b": [4, 7, 3]}),
+    (17, 11, 0.25, 2, 4, 1, 20000,
+     {"u": 0, "v": 7, "path_a": [0, 8, 10, 2, 6, 7], "path_b": [0, 9, 7]}),
+    (17, 11, 0.25, 2, 4, 1, 6,
+     {"u": 9, "v": 7, "path_a": [9, 5, 4, 0, 8, 7], "path_b": [9, 7]}),
+    (23, 12, 0.35, 5, 3, 3, 20000,
+     {"u": 6, "v": 5, "path_a": [6, 2, 10, 4, 5], "path_b": [6, 0, 8, 1, 3, 5]}),
+    (23, 12, 0.35, 5, 3, 3, 6,
+     {"u": 6, "v": 4, "path_a": [6, 2, 10, 4], "path_b": [6, 0, 8, 4]}),
+]
+
+
+@pytest.mark.parametrize("graph_seed,n,p,seed,k,ell,budget,expected", HEURISTIC_PINS)
+def test_heuristic_certificates_are_pinned(
+    monkeypatch, graph_seed, n, p, seed, k, ell, budget, expected
+):
+    d = random_digraph(random.Random(graph_seed), n, p)
+    monkeypatch.setattr(detection, "_HEURISTIC_BUDGET", budget)
+    got = find_two_block_cycle(d, k, ell, cap=n - 1, strict=False, seed=seed)
+    assert got.to_json_dict() == {**expected, "k": k, "ell": ell}
 
 
 class TestVerifyCertificate:
