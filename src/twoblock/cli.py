@@ -19,6 +19,7 @@ from .detection import (
     find_two_block_cycle,
     hamiltonian_cycle,
     longest_cycle,
+    raised_cap,
     verify_certificate,
 )
 from .digraph import (
@@ -78,12 +79,6 @@ def _resolve_cap(args: argparse.Namespace) -> int | None:
     return _env_cap()
 
 
-def _at_least(cap: int | None, default: int) -> int | None:
-    # The detection cap applies as given; every other cap is raised by it
-    # but never lowered below its own default.
-    return None if cap is None else max(cap, default)
-
-
 def _emit_coloring(args, d: Digraph, coloring, extra: dict | None = None) -> None:
     if not is_proper(underlying_graph(d), coloring):
         raise StructuralViolation("emitted coloring is not proper")
@@ -114,15 +109,8 @@ def _cmd_detect(args) -> int:
 
 def _cmd_color(args) -> int:
     d = io.read_edge_list(args.file)
-    cap = _resolve_cap(args)
     result = run_pipeline(
-        d,
-        args.k,
-        args.ell,
-        detect_cap=cap,
-        cycle_cap=_at_least(cap, DEFAULT_CYCLE_CAP),
-        color_cap=_at_least(cap, DEFAULT_COLOR_CAP),
-        strict=args.strict,
+        d, args.k, args.ell, detect_cap=_resolve_cap(args), strict=args.strict
     )
     if isinstance(result, TwoBlockCertificate):
         print("input contains a two-block cycle; certificate follows")
@@ -142,7 +130,7 @@ def _cmd_color(args) -> int:
 def _cmd_ham_color(args) -> int:
     d = io.read_edge_list(args.file)
     cap = _resolve_cap(args)
-    ham = hamiltonian_cycle(d, cap=_at_least(cap, DEFAULT_CYCLE_CAP))
+    ham = hamiltonian_cycle(d, cap=raised_cap(cap, DEFAULT_CYCLE_CAP))
     if ham is None:
         raise NotHamiltonian("input has no Hamiltonian cycle")
     if args.k + args.ell == 2:
@@ -177,7 +165,7 @@ def _cmd_chromatic(args) -> int:
     d = io.read_edge_list(args.file)
     cap = _resolve_cap(args)
     chi, coloring = chromatic_number(
-        underlying_graph(d), cap=_at_least(cap, DEFAULT_COLOR_CAP)
+        underlying_graph(d), cap=raised_cap(cap, DEFAULT_COLOR_CAP)
     )
     if not is_proper(underlying_graph(d), coloring):
         raise StructuralViolation("chromatic coloring is not proper")
@@ -196,7 +184,7 @@ def _cmd_longest_cycle(args) -> int:
     cap = _resolve_cap(args)
     try:
         cycle = longest_cycle(
-            d, cap=_at_least(cap, DEFAULT_CYCLE_CAP), strict=args.strict
+            d, cap=raised_cap(cap, DEFAULT_CYCLE_CAP), strict=args.strict
         )
     except Acyclic:
         print("acyclic: the digraph contains no directed cycle")

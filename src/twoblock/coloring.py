@@ -151,49 +151,50 @@ def k_colorable(g: UGraph, c: int, *, cap: int | None = None) -> Coloring | None
 
 def _color_backtrack(g: UGraph, c: int, clique: list[int]) -> Coloring | None:
     n = g.n
+    adj = g.adj_mask
     colors = [-1] * n
     neighbor_used = [0] * n
-
-    def assign(v: int, col: int) -> None:
-        colors[v] = col
-        for w in iter_bits(g.adj_mask[v]):
-            neighbor_used[w] |= 1 << col
-
-    def unassign(v: int, col: int) -> None:
-        colors[v] = -1
-        for w in iter_bits(g.adj_mask[v]):
-            if all(colors[x] != col for x in iter_bits(g.adj_mask[w])):
-                neighbor_used[w] &= ~(1 << col)
-
     # Pre-color the seed clique; distinct colors there lose no generality.
     for i, v in enumerate(clique):
-        assign(v, i)
+        colors[v] = i
+        for w in iter_bits(adj[v]):
+            neighbor_used[w] |= 1 << i
+    # Depth-first search: the most saturated uncolored vertex ``v`` tries the
+    # colors from ``col`` up, never opening more than one new color.
+    # ``stack`` holds (vertex, its color, ``max_used`` before it) for every
+    # vertex colored by the search, so a dead end undoes the latest one and
+    # retries it with its next color.
+    stack: list[tuple[int, int, int]] = []
     max_used = len(clique) - 1
-
-    def pick() -> int:
-        return max(
-            (v for v in range(n) if colors[v] == -1),
-            key=lambda w: (neighbor_used[w].bit_count(), g.degree(w), -w),
-        )
-
-    def bt(colored: int, max_used: int) -> bool:
-        if colored == n:
-            return True
-        v = pick()
+    v: int | None = None
+    col = 0
+    while len(clique) + len(stack) < n:
+        if v is None:
+            v = max(
+                (w for w in range(n) if colors[w] == -1),
+                key=lambda w: (neighbor_used[w].bit_count(), g.degree(w), -w),
+            )
+            col = 0
         limit = min(max_used + 2, c)
-        for col in range(limit):
-            if (neighbor_used[v] >> col) & 1:
-                continue
-            assign(v, col)
-            if bt(colored + 1, max(max_used, col)):
-                return True
-            unassign(v, col)
-        return False
-
-    if bt(len(clique), max_used):
-        palette = max(colors) + 1
-        return Coloring(tuple(colors), palette)
-    return None
+        while col < limit and (neighbor_used[v] >> col) & 1:
+            col += 1
+        if col < limit:
+            colors[v] = col
+            for w in iter_bits(adj[v]):
+                neighbor_used[w] |= 1 << col
+            stack.append((v, col, max_used))
+            max_used = max(max_used, col)
+            v = None
+        elif stack:
+            v, col, max_used = stack.pop()
+            colors[v] = -1
+            for w in iter_bits(adj[v]):
+                if all(colors[x] != col for x in iter_bits(adj[w])):
+                    neighbor_used[w] &= ~(1 << col)
+            col += 1
+        else:
+            return None
+    return Coloring(tuple(colors), max(colors) + 1)
 
 
 def chromatic_number(g: UGraph, *, cap: int | None = None) -> tuple[int, Coloring]:

@@ -47,6 +47,15 @@ _HEURISTIC_TRIES = 400
 _HEURISTIC_BUDGET = 20000
 
 
+def raised_cap(detect_cap: int | None, default: int) -> int:
+    """The cap of another exact search when detection runs with ``detect_cap``.
+
+    The detection cap applies as given; every other cap is raised by it but
+    never lowered below its own ``default``.
+    """
+    return default if detect_cap is None else max(detect_cap, default)
+
+
 @dataclass(frozen=True)
 class TwoBlockCertificate:
     """Positive witness of ``c(k_req, ell_req)``: two disjoint u->v paths."""
@@ -487,10 +496,12 @@ def _heuristic_longest_cycle(d: Digraph, seed: int) -> DiCycle:
     return DiCycle(tuple(best[i:] + best[:i]))
 
 
-def hamiltonian_cycle(
-    d: Digraph, *, cap: int | None = None, strict: bool = True
-) -> DiCycle | None:
-    """A spanning cycle, or ``None`` when exhaustive search proves absence."""
+def hamiltonian_cycle(d: Digraph, *, cap: int | None = None) -> DiCycle | None:
+    """A spanning cycle, or ``None`` when exhaustive search proves absence.
+
+    There is no heuristic mode: above the cap the search always raises
+    :class:`CapExceeded`.
+    """
     cap = DEFAULT_CYCLE_CAP if cap is None else cap
     if d.n > cap:
         raise CapExceeded(f"Hamiltonicity search needs n <= {cap}, got {d.n}")

@@ -17,6 +17,7 @@ import random
 
 from .coloring import chromatic_number
 from .detection import (
+    DEFAULT_DETECT_CAP,
     AbsenceReport,
     TwoBlockCertificate,
     find_two_block_cycle,
@@ -100,20 +101,28 @@ def enumerate_tournaments(n: int, *, dedup: bool = False) -> Iterator[Digraph]:
         raise CapExceeded(f"tournament enumeration needs n <= {TOURNAMENT_CAP}")
     if n < 1:
         raise PreconditionViolated("need n >= 1")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     seen: set[int] = set()
-    for bits in range(1 << len(pairs)):
-        arcs = frozenset(
-            (i, j) if (bits >> idx) & 1 else (j, i)
-            for idx, (i, j) in enumerate(pairs)
-        )
-        d = Digraph(n, arcs)
+    for bits in range(1 << (n * (n - 1) // 2)):
+        d = _tournament(n, bits)
         if dedup:
             canon = canonical_form(d)
             if canon in seen:
                 continue
             seen.add(canon)
         yield d
+
+
+def _tournament(n: int, bits: int) -> Digraph:
+    """The tournament whose ``idx``-th pair ``i < j`` (row-major) is oriented
+    ``i -> j`` when bit ``idx`` of ``bits`` is set, else ``j -> i``."""
+    pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+    return Digraph(
+        n,
+        frozenset(
+            (i, j) if (bits >> idx) & 1 else (j, i)
+            for idx, (i, j) in enumerate(pairs)
+        ),
+    )
 
 
 def canonical_form(d: Digraph) -> int:
@@ -181,7 +190,6 @@ def random_strong_ckl_free(
     seed: int,
     *,
     cap: int | None = None,
-    max_chords: int | None = None,
 ) -> Digraph:
     """A strong digraph verified free of ``c(k, ell)`` by exhaustive detection.
 
@@ -195,30 +203,12 @@ def random_strong_ckl_free(
         raise PreconditionViolated("need k >= 2 and k >= ell >= 1")
     if n < 3:
         raise PreconditionViolated("need n >= 3")
-    from .detection import DEFAULT_DETECT_CAP
-
-    effective_cap = DEFAULT_DETECT_CAP if cap is None else cap
-    if n > effective_cap:
-        raise CapExceeded(f"generator needs n <= {effective_cap}, got {n}")
+    cap = DEFAULT_DETECT_CAP if cap is None else cap
+    if n > cap:
+        raise CapExceeded(f"generator needs n <= {cap}, got {n}")
     rng = random.Random(seed)
     arcs = {(i, (i + 1) % n) for i in range(n)}
-    candidates = [
-        (i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in arcs
-    ]
-    rng.shuffle(candidates)
-    if max_chords is not None:
-        candidates = candidates[:max_chords]
-    for cand in candidates:
-        trial = Digraph(n, frozenset(arcs | {cand}))
-        if find_two_block_cycle_through_arc(trial, k, ell, cand) is None:
-            arcs.add(cand)
-    d = Digraph(n, frozenset(arcs))
-    outcome = find_two_block_cycle(d, k, ell, cap=effective_cap)
-    if not isinstance(outcome, AbsenceReport) or outcome.mode != "exhaustive":
-        raise PreconditionViolated(
-            "generator postcondition failed: instance is not verified free"
-        )
-    return d
+    return _sprinkle_chords(n, k, ell, arcs, rng, cap)
 
 
 def random_cycle_tree_free(
@@ -228,7 +218,6 @@ def random_cycle_tree_free(
     seed: int,
     *,
     cap: int | None = None,
-    extra_arcs: int | None = None,
 ) -> Digraph:
     """A (usually non-Hamiltonian) strong ``c(k, ell)``-free digraph.
 
@@ -244,11 +233,9 @@ def random_cycle_tree_free(
     base_len = max(2 * k - 2, 2)
     if n < base_len:
         raise PreconditionViolated(f"need n >= {base_len}")
-    from .detection import DEFAULT_DETECT_CAP
-
-    effective_cap = DEFAULT_DETECT_CAP if cap is None else cap
-    if n > effective_cap:
-        raise CapExceeded(f"generator needs n <= {effective_cap}, got {n}")
+    cap = DEFAULT_DETECT_CAP if cap is None else cap
+    if n > cap:
+        raise CapExceeded(f"generator needs n <= {cap}, got {n}")
     rng = random.Random(seed)
     arcs: set[tuple[int, int]] = {(i, (i + 1) % base_len) for i in range(base_len)}
     total = base_len
@@ -262,26 +249,34 @@ def random_cycle_tree_free(
         total += length - 1
         for i, v in enumerate(ring):
             arcs.add((v, ring[(i + 1) % len(ring)]))
-    d = Digraph(total, frozenset(arcs))
+    return _sprinkle_chords(total, k, ell, arcs, rng, cap)
+
+
+def _sprinkle_chords(
+    n: int,
+    k: int,
+    ell: int,
+    arcs: set[tuple[int, int]],
+    rng: random.Random,
+    cap: int,
+) -> Digraph:
+    """Add to the ``c(k, ell)``-free ``arcs`` every non-arc, in an order
+    shuffled by ``rng``, that closes no ``c(k, ell)``; then verify the result
+    by exhaustive detection.
+
+    Each trial is the arc-anchored search, complete because the digraph
+    before the trial is already free.
+    """
     candidates = [
-        (i, j)
-        for i in range(total)
-        for j in range(total)
-        if i != j and (i, j) not in arcs
+        (i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in arcs
     ]
     rng.shuffle(candidates)
-    if extra_arcs is not None:
-        candidates = candidates[: extra_arcs * 4]
-    added = 0
     for cand in candidates:
-        if extra_arcs is not None and added >= extra_arcs:
-            break
-        trial = Digraph(total, frozenset(arcs | {cand}))
+        trial = Digraph(n, frozenset(arcs | {cand}))
         if find_two_block_cycle_through_arc(trial, k, ell, cand) is None:
             arcs.add(cand)
-            added += 1
-    d = Digraph(total, frozenset(arcs))
-    outcome = find_two_block_cycle(d, k, ell, cap=effective_cap)
+    d = Digraph(n, frozenset(arcs))
+    outcome = find_two_block_cycle(d, k, ell, cap=cap)
     if not isinstance(outcome, AbsenceReport) or outcome.mode != "exhaustive":
         raise PreconditionViolated(
             "generator postcondition failed: instance is not verified free"
@@ -289,25 +284,31 @@ def random_cycle_tree_free(
     return d
 
 
+def _pair_verdicts(d: Digraph) -> list[tuple[int, int, bool]]:
+    """``(k, ell, d contains c(k, ell))`` for k = 1, ..., n-1 and ell = n - k.
+
+    ``c(k, ell)`` and ``c(ell, k)`` are the same digraph, so each unordered
+    pair is searched once, as ``(min, max)``, the first time it comes up.
+    """
+    searched: dict[tuple[int, int], bool] = {}
+    verdicts = []
+    for k in range(1, d.n):
+        ell = d.n - k
+        key = (min(k, ell), max(k, ell))
+        if key not in searched:
+            found = find_two_block_cycle(d, key[0], key[1])
+            searched[key] = isinstance(found, TwoBlockCertificate)
+        verdicts.append((k, ell, searched[key]))
+    return verdicts
+
+
 def _evaluate_tournament(args: tuple[int, int]) -> InstanceRecord | None:
     n, bits = args
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    arcs = frozenset(
-        (i, j) if (bits >> idx) & 1 else (j, i)
-        for idx, (i, j) in enumerate(pairs)
-    )
-    d = Digraph(n, arcs)
+    d = _tournament(n, bits)
     if not is_strong(d):
         return None
-    verdicts: dict[str, bool] = {}
-    missing = False
-    for k in range(1, n):
-        ell = n - k
-        found = find_two_block_cycle(d, k, ell)
-        verdicts[f"{k},{ell}"] = isinstance(found, TwoBlockCertificate)
-        if not verdicts[f"{k},{ell}"]:
-            missing = True
-    if not missing:
+    verdicts = {f"{k},{ell}": found for k, ell, found in _pair_verdicts(d)}
+    if all(verdicts.values()):
         return None
     ham = hamiltonian_cycle(d)
     return InstanceRecord(
@@ -437,22 +438,10 @@ def audit_bw_claim(n: int) -> BwReport:
         raise PreconditionViolated("the audited claim is scoped to n >= 4")
     if n > 6:
         raise CapExceeded("audit needs n <= 6")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rows: list[BwRow] = []
-    for bits in range(1 << len(pairs)):
-        arcs = frozenset(
-            (i, j) if (bits >> idx) & 1 else (j, i)
-            for idx, (i, j) in enumerate(pairs)
-        )
-        d = Digraph(n, arcs)
-        cache: dict[tuple[int, int], bool] = {}
-        for k in range(1, n):
-            ell = n - k
-            key = (min(k, ell), max(k, ell))
-            if key not in cache:
-                found = find_two_block_cycle(d, key[0], key[1])
-                cache[key] = isinstance(found, TwoBlockCertificate)
-            rows.append(BwRow(bits, k, ell, cache[key]))
+    for bits in range(1 << (n * (n - 1) // 2)):
+        d = _tournament(n, bits)
+        rows.extend(BwRow(bits, k, ell, found) for k, ell, found in _pair_verdicts(d))
     return BwReport(n, rows)
 
 

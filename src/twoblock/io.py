@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
 from .coloring import Coloring, EliminationOrder
 from .digraph import Digraph, build_digraph
 from .errors import ParseError
-from .pipeline import ContractionTrace
+
+if TYPE_CHECKING:
+    from .pipeline import ContractionTrace
 
 
 def read_edge_list(source: str | IO[str]) -> Digraph:

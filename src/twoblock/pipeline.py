@@ -20,8 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .coloring import (
+    DEFAULT_COLOR_CAP,
     Coloring,
     EliminationOrder,
     degeneracy,
@@ -31,9 +33,12 @@ from .coloring import (
     k_colorable,
 )
 from .detection import (
+    DEFAULT_CYCLE_CAP,
     TwoBlockCertificate,
+    _paths,
     find_two_block_cycle,
     longest_cycle,
+    raised_cap,
     verify_certificate,
 )
 from .digraph import (
@@ -108,8 +113,6 @@ def build_contraction_trace(
     ell: int,
     *,
     detect_cap: int | None = None,
-    cycle_cap: int | None = None,
-    color_cap: int | None = None,
     strict: bool = True,
     seed: int = 0,
 ) -> ContractionTrace | TwoBlockCertificate:
@@ -117,11 +120,15 @@ def build_contraction_trace(
 
     Every level is checked for ``c(k, ell)``; a hit aborts the trace and is
     lifted back to the input digraph, re-verified at each level on the way.
+    ``detect_cap`` also raises the longest-cycle and coloring caps, never
+    lowering them below their defaults (see :func:`raised_cap`).
     """
     if k < 2 or ell < 1 or ell > k:
         raise PreconditionViolated("need k >= 2 and k >= ell >= 1")
     if not is_strong(d):
         raise NotStrong("the pipeline needs a strongly connected digraph")
+    cycle_cap = raised_cap(detect_cap, DEFAULT_CYCLE_CAP)
+    color_cap = raised_cap(detect_cap, DEFAULT_COLOR_CAP)
     steps: list[TraceStep] = []
     cur = d
     prev_len: int | None = None
@@ -291,35 +298,22 @@ def cycle_path(tree: CycleTree, i: int, j: int) -> tuple[int, ...]:
 def tree_path(tree: CycleTree, u: int, v: int) -> DiPath:
     """The directed path from ``u`` to ``v`` inside the cycle-tree.
 
-    Uniqueness is part of the cycle-tree promise and is asserted here by full
-    enumeration rather than assumed.
+    Uniqueness is part of the cycle-tree promise and is checked here rather
+    than assumed: the path kernel of :mod:`detection` enumerates up to two
+    u->v paths over the tree's arcs, and anything but exactly one raises
+    :class:`StructuralViolation`.
     """
     if u == v:
         return DiPath((u,))
-    adj: dict[int, list[int]] = {}
-    for t, h in sorted(tree.arc_set):
-        adj.setdefault(t, []).append(h)
-    found: list[tuple[int, ...]] = []
-    path = [u]
-    seen = {u}
-
-    def dfs(w: int) -> None:
-        for x in adj.get(w, ()):
-            if x == v:
-                found.append(tuple(path) + (v,))
-                continue
-            if x in seen:
-                continue
-            seen.add(x)
-            path.append(x)
-            dfs(x)
-            path.pop()
-            seen.remove(x)
-
-    dfs(u)
+    t = Digraph(tree.n, tree.arc_set)
+    full = (1 << tree.n) - 1
+    found = [
+        (*path, v) for path in islice(_paths(t.out_mask, t.in_mask, u, v, full, 0), 2)
+    ]
     if len(found) != 1:
         raise StructuralViolation(
-            f"expected a unique tree path {u}->{v}, found {len(found)}"
+            f"expected a unique tree path {u}->{v}, found "
+            + ("two or more" if found else "none")
         )
     return DiPath(found[0])
 
@@ -645,20 +639,15 @@ def order_F1(
 ) -> EliminationOrder:
     """A deletion order of F1 with back-degree at most ``k + 2*ell - 2``.
 
-    Plain minimum-degree peeling computes the exact degeneracy, so it
-    succeeds whenever any order can; the cycle-by-cycle construction is the
-    structured fallback and the final bound is re-checked independently
-    either way.
+    Minimum-degree peeling computes the exact degeneracy (Matula & Beck
+    1983), so when it misses the bound no order meets it and the lemma
+    behind the bound has failed: that raises :class:`StructuralViolation`.
+    :func:`order_f1_by_cycles` is the lemma's own construction.
     """
     bound = k + 2 * ell - 2
-    g = underlying_graph(f1)
-    order = degeneracy(g)
+    order = degeneracy(underlying_graph(f1))
     if order.bound <= bound:
         return order
-    fallback = order_f1_by_cycles(f1, tree, k, ell)
-    achieved = elimination_back_degree(g, fallback.order)
-    if achieved <= bound:
-        return EliminationOrder(fallback.order, achieved)
     raise StructuralViolation(
         f"F1 degeneracy {order.bound} exceeds the bound {bound}"
     )
@@ -740,21 +729,12 @@ def run_pipeline(
     ell: int,
     *,
     detect_cap: int | None = None,
-    cycle_cap: int | None = None,
-    color_cap: int | None = None,
     strict: bool = True,
     seed: int = 0,
 ) -> PipelineRun | TwoBlockCertificate:
     """Full pipeline: trace, per-class cycle-trees, product colorings, merge."""
     result = build_contraction_trace(
-        d,
-        k,
-        ell,
-        detect_cap=detect_cap,
-        cycle_cap=cycle_cap,
-        color_cap=color_cap,
-        strict=strict,
-        seed=seed,
+        d, k, ell, detect_cap=detect_cap, strict=strict, seed=seed
     )
     if isinstance(result, TwoBlockCertificate):
         return result
@@ -798,23 +778,12 @@ def color_strong_digraph(
     ell: int,
     *,
     detect_cap: int | None = None,
-    cycle_cap: int | None = None,
-    color_cap: int | None = None,
     strict: bool = True,
     seed: int = 0,
 ) -> Coloring | TwoBlockCertificate:
     """Verified proper coloring within ``2(2k-3)(k+2l-1)`` colors, or the
     certificate showing the input was not ``c(k, ell)``-free."""
-    result = run_pipeline(
-        d,
-        k,
-        ell,
-        detect_cap=detect_cap,
-        cycle_cap=cycle_cap,
-        color_cap=color_cap,
-        strict=strict,
-        seed=seed,
-    )
+    result = run_pipeline(d, k, ell, detect_cap=detect_cap, strict=strict, seed=seed)
     if isinstance(result, TwoBlockCertificate):
         return result
     return result.coloring
@@ -846,11 +815,12 @@ def validate_trace(
     *,
     deep: bool = False,
     detect_cap: int | None = None,
-    cycle_cap: int | None = None,
 ) -> None:
     """Independent trace validator; ``deep`` recomputes longest cycles and
-    re-runs detection on every level."""
+    re-runs detection on every level, with the caps of
+    :func:`build_contraction_trace`."""
     k = trace.k
+    cycle_cap = raised_cap(detect_cap, DEFAULT_CYCLE_CAP)
     prev_len: int | None = None
     levels = [step.digraph for step in trace.steps] + [trace.final]
     for i, step in enumerate(trace.steps):

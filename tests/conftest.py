@@ -8,17 +8,13 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from twoblock.digraph import Digraph, build_digraph
-
-FIGURE1_ARCS = [
-    (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
-    (3, 1), (0, 2), (0, 3), (1, 4), (2, 4),
-]
+from twoblock.cli import figure1_tournament
+from twoblock.digraph import Digraph
 
 
 @pytest.fixture(scope="session")
 def fig1() -> Digraph:
-    return build_digraph(5, FIGURE1_ARCS)
+    return figure1_tournament()
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,122 @@
+"""Outputs pinned to the values of the code before the harness helpers,
+the derived pipeline caps and the iterative colorability search were
+introduced.  A change to any of them is a change to the published files or
+to the benchmark corpora, not a refactoring."""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from twoblock.coloring import Coloring, chromatic_number, k_colorable
+from twoblock.digraph import Digraph, UGraph, underlying_graph
+from twoblock.harness import (
+    audit_bw_claim,
+    encode_arcs_hex,
+    random_cycle_tree_free,
+    random_strong_ckl_free,
+    search_problem1,
+    write_records,
+)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_search_problem1_jsonl(tmp_path):
+    out = tmp_path / "search5.jsonl"
+    write_records(search_problem1(5), str(out))
+    assert _sha256(out.read_bytes()) == (
+        "b8f7d00fff6f38628a0a192330cf273e46efae797c2d79e784bc55b835ec886b"
+    )
+
+
+def test_audit_bw_claim_csv():
+    assert _sha256(audit_bw_claim(5).to_csv().encode()) == (
+        "95fc46603823cbd7b91c85c9b61a015523f44ef7dc455da20cca24b8d6a59b73"
+    )
+
+
+# (n, k, ell, seed) from the criterion-5 schedule, with the encoded output
+# of random_strong_ckl_free and random_cycle_tree_free at cap=14.
+GENERATOR_PINS = [
+    ((6, 2, 1, 3001), "060408102", "102428142"),
+    ((7, 3, 1, 3002), "00e0602020602", "0224206620602"),
+    ((8, 4, 1, 3003), "0580402070080406", "160c48106"),
+    ((13, 3, 3, 3008),
+     "0801a00e00cb0c60018002901b802001803a0c08c02",
+     "00da00c000c81480800580e0837e0800c00a"),
+    ((11, 4, 1, 3015),
+     "000600a00600a00200200600a002006", "000600601200600008200620200214e"),
+    ((6, 2, 2, 3028), "060c8a32a", "628d49146"),
+    ((11, 4, 2, 3042),
+     "004630240280e01206270280600a012", "080a61280604a080482e0200257a802"),
+    ((9, 2, 1, 3103), "001802008020080200802", "080820400460082200a02"),
+]
+
+
+@pytest.mark.parametrize("point,strong_hex,tree_hex", GENERATOR_PINS)
+def test_generator_outputs(point, strong_hex, tree_hex):
+    strong = random_strong_ckl_free(*point, cap=14)
+    tree = random_cycle_tree_free(*point, cap=14)
+    assert (encode_arcs_hex(strong), encode_arcs_hex(tree)) == (strong_hex, tree_hex)
+
+
+def _ugraph(n: int, edges: list[tuple[int, int]]) -> UGraph:
+    return underlying_graph(Digraph(n, frozenset(edges)))
+
+
+def _wheel(rim: int) -> UGraph:
+    return _ugraph(
+        rim + 1,
+        [(i, (i + 1) % rim) for i in range(rim)] + [(rim, i) for i in range(rim)],
+    )
+
+
+PETERSEN = _ugraph(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+
+# 3-colorable, but DSATUR needs 4 colors and the backtracking search undoes
+# five assignments before it finds this coloring.
+BACKTRACKS = _ugraph(
+    9,
+    [(0, 3), (0, 4), (0, 6), (0, 8), (1, 3), (1, 5), (1, 7), (2, 3), (2, 6),
+     (3, 7), (3, 8), (4, 5), (5, 6), (5, 7), (6, 7)],
+)
+
+
+@pytest.mark.parametrize(
+    "g,c,colors",
+    [
+        (PETERSEN, 2, None),
+        (PETERSEN, 3, (0, 1, 0, 1, 2, 1, 0, 2, 2, 1)),
+        (_wheel(5), 3, None),
+        (_wheel(5), 4, (1, 2, 1, 2, 3, 0)),
+        (_wheel(7), 3, None),
+        (_wheel(7), 4, (1, 2, 1, 2, 1, 2, 3, 0)),
+        (BACKTRACKS, 3, (1, 2, 1, 0, 2, 0, 2, 1, 2)),
+    ],
+)
+def test_k_colorable_colorings(g, c, colors):
+    expected = None if colors is None else Coloring(colors, max(colors) + 1)
+    assert k_colorable(g, c) == expected
+
+
+def test_chromatic_number_colorings(fig1):
+    assert chromatic_number(PETERSEN) == (
+        3, Coloring((0, 1, 0, 1, 2, 1, 0, 2, 2, 1), 3)
+    )
+    assert chromatic_number(_wheel(5)) == (4, Coloring((1, 2, 1, 2, 3, 0), 4))
+    assert chromatic_number(_wheel(7)) == (
+        4, Coloring((1, 2, 1, 2, 1, 2, 3, 0), 4)
+    )
+    assert chromatic_number(underlying_graph(fig1)) == (
+        5, Coloring((0, 1, 2, 3, 4), 5)
+    )
+    assert k_colorable(underlying_graph(fig1), 4) is None
