@@ -1,7 +1,8 @@
 """Command-line surface binding the library into a usable tool.
 
 Exit codes: 0 success/found, 1 verified negative, 2 usage or I/O error,
-3 precondition violated, 4 cap exceeded in strict mode.
+3 precondition violated, 4 cap exceeded in strict mode, 5 a failed internal
+invariant (a result that did not pass its own verification).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .digraph import (
 )
 from .errors import (
     Acyclic,
+    AttachMismatch,
     CapExceeded,
     NotHamiltonian,
     NotStrong,
@@ -50,6 +52,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_CAP = 4
+EXIT_INTERNAL = 5
 
 # The five-vertex strong tournament with chi = 5 and no c(4, 1); ships both
 # here and as fixtures/figure1.edges.
@@ -259,39 +262,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_kell=True, with_file=True):
-        if with_kell:
+    def add_common(p, *, kell: bool, json: bool, dot: bool, mode: bool):
+        # Each subcommand takes only the flags it reads.
+        if kell:
             p.add_argument("--k", type=int, required=True)
             p.add_argument("--ell", type=int, required=True,
                            help="second block length (spelled out to avoid -l)")
         p.add_argument("--cap", type=int, default=None,
                        help="exact-search size cap (TWOBLOCK_CAP overrides default)")
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--dot", metavar="OUT.dot", default=None)
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument("--strict", dest="strict", action="store_true", default=True)
-        mode.add_argument("--heuristic", dest="strict", action="store_false")
-        if with_file:
-            p.add_argument("file", help="edge-list file (first line n, then 'tail head')")
+        if json:
+            p.add_argument("--json", action="store_true")
+        if dot:
+            p.add_argument("--dot", metavar="OUT.dot", default=None)
+        if mode:
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--strict", dest="strict", action="store_true",
+                               default=True)
+            group.add_argument("--heuristic", dest="strict", action="store_false")
+        p.add_argument("file", help="edge-list file (first line n, then 'tail head')")
 
     p = sub.add_parser("detect", help="search for c(k, ell)")
-    add_common(p)
+    add_common(p, kell=True, json=False, dot=False, mode=True)
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("color", help="pipeline coloring of a strong digraph")
-    add_common(p)
+    add_common(p, kell=True, json=True, dot=True, mode=True)
     p.set_defaults(func=_cmd_color)
 
     p = sub.add_parser("ham-color", help="degeneracy coloring of a Hamiltonian digraph")
-    add_common(p)
+    add_common(p, kell=True, json=True, dot=True, mode=True)
     p.set_defaults(func=_cmd_ham_color)
 
     p = sub.add_parser("chromatic", help="exact chromatic number")
-    add_common(p, with_kell=False)
+    add_common(p, kell=False, json=True, dot=True, mode=False)
     p.set_defaults(func=_cmd_chromatic)
 
     p = sub.add_parser("longest-cycle", help="exact longest directed cycle")
-    add_common(p, with_kell=False)
+    add_common(p, kell=False, json=True, dot=False, mode=True)
     p.set_defaults(func=_cmd_longest_cycle)
 
     p = sub.add_parser("verify-figure1", help="check the 5-vertex tight example")
@@ -335,6 +342,9 @@ def main(argv: list[str] | None = None) -> int:
     except (PreconditionViolated, NotStrong, NotHamiltonian, Acyclic) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except (StructuralViolation, AttachMismatch) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except TwoBlockError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -212,21 +212,28 @@ class PreimageMap:
         return frozenset(out)
 
 
+def add_arc(
+    arcs: set[tuple[int, int]], vertex_count: int, tail: int, head: int
+) -> None:
+    """Add one arc to ``arcs`` after checking it is no loop, lies inside
+    ``[0, vertex_count)`` and is not in ``arcs`` already."""
+    if tail == head:
+        raise LoopArc(f"loop arc ({tail},{head})")
+    if not (0 <= tail < vertex_count and 0 <= head < vertex_count):
+        raise VertexOutOfRange(f"arc ({tail},{head}) outside [0,{vertex_count})")
+    if (tail, head) in arcs:
+        raise DuplicateArc(f"duplicate arc ({tail},{head})")
+    arcs.add((tail, head))
+
+
 def build_digraph(vertex_count: int, arc_list: Iterable[tuple[int, int]]) -> Digraph:
     """Validate an arc list and build a :class:`Digraph`."""
     if vertex_count < 0:
         raise VertexOutOfRange("vertex_count must be nonnegative")
-    seen: set[tuple[int, int]] = set()
-    for arc in arc_list:
-        tail, head = arc
-        if tail == head:
-            raise LoopArc(f"loop arc ({tail},{head})")
-        if not (0 <= tail < vertex_count and 0 <= head < vertex_count):
-            raise VertexOutOfRange(f"arc ({tail},{head}) outside [0,{vertex_count})")
-        if (tail, head) in seen:
-            raise DuplicateArc(f"duplicate arc ({tail},{head})")
-        seen.add((tail, head))
-    return Digraph(vertex_count, frozenset(seen))
+    arcs: set[tuple[int, int]] = set()
+    for tail, head in arc_list:
+        add_arc(arcs, vertex_count, tail, head)
+    return Digraph(vertex_count, frozenset(arcs))
 
 
 def underlying_graph(d: Digraph) -> UGraph:

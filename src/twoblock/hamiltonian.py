@@ -17,13 +17,19 @@ from __future__ import annotations
 
 from .coloring import Coloring, EliminationOrder, greedy_color_by_order, is_proper
 from .detection import (
+    DEFAULT_DETECT_CAP,
     AbsenceReport,
     TwoBlockCertificate,
     find_two_block_cycle,
     verify_certificate,
 )
-from .digraph import Digraph, DiCycle, DiPath, cycle_in, underlying_graph
-from .errors import NotHamiltonian, PreconditionViolated, StructuralViolation
+from .digraph import Digraph, DiCycle, DiPath, cycle_in, induced, underlying_graph
+from .errors import (
+    CapExceeded,
+    NotHamiltonian,
+    PreconditionViolated,
+    StructuralViolation,
+)
 
 
 def _check_hamiltonian(d: Digraph, ham: DiCycle) -> None:
@@ -31,6 +37,21 @@ def _check_hamiltonian(d: Digraph, ham: DiCycle) -> None:
         raise NotHamiltonian("cycle does not span the vertex set")
     if not cycle_in(d, ham):
         raise NotHamiltonian("cycle uses an arc missing from the digraph")
+
+
+def _no_certificate(report: AbsenceReport, n: int, cap: int | None) -> Exception:
+    """The error for a detection miss on a level whose degrees are all at
+    least ``k + ell``: a contradiction of the dichotomy if the search was
+    exhaustive, else a level too large for the cap."""
+    if report.mode == "exhaustive":
+        return StructuralViolation(
+            "min degree >= k + ell yet exhaustive detection found no c(k, ell)"
+        )
+    cap = DEFAULT_DETECT_CAP if cap is None else cap
+    return CapExceeded(
+        f"min degree >= k + ell on {n} vertices, above the detection cap "
+        f"{cap}, and the capped search found no c(k, ell)"
+    )
 
 
 def low_degree_or_certificate(
@@ -46,7 +67,8 @@ def low_degree_or_certificate(
 
     When every degree is at least ``k + ell`` the certificate branch cannot
     fail: exhaustive detection reporting absence would contradict the
-    minimum-degree dichotomy and raises :class:`StructuralViolation`.
+    minimum-degree dichotomy and raises :class:`StructuralViolation`.  A
+    capped search that finds nothing raises :class:`CapExceeded`.
     """
     if k < 1 or ell < 1 or k + ell < 3:
         raise PreconditionViolated("need k, ell >= 1 and k + ell >= 3")
@@ -56,9 +78,7 @@ def low_degree_or_certificate(
             return v
     result = find_two_block_cycle(d, k, ell, cap=cap, strict=strict)
     if isinstance(result, AbsenceReport):
-        raise StructuralViolation(
-            "min degree >= k + ell yet exhaustive detection found no c(k, ell)"
-        )
+        raise _no_certificate(result, d.n, cap)
     return result
 
 
@@ -78,10 +98,11 @@ def ham_degeneracy_order(
     of underlying degree at most ``k + ell - 1`` and adds the shortcut arc
     between its cycle neighbors (set semantics: re-adding an existing arc
     changes nothing, and only genuinely new arcs participate in certificate
-    replay).  Recursion stops once at most ``k + ell`` vertices remain; any
-    order works there.  A round with no low-degree vertex can only happen
-    after a capped (heuristic) negative; detection then runs on that level
-    and the certificate is replayed back.
+    replay).  Every level keeps the input's vertex ids, with the deleted
+    vertices isolated.  Recursion stops once at most ``k + ell`` vertices
+    remain; any order works there.  A round with no low-degree vertex can
+    only happen after a capped (heuristic) negative; detection then runs on
+    that level and the certificate is replayed back.
     """
     if k < 1 or ell < 1 or k + ell < 3:
         raise PreconditionViolated("need k, ell >= 1 and k + ell >= 3")
@@ -89,34 +110,29 @@ def ham_degeneracy_order(
     upfront = find_two_block_cycle(d, k, ell, cap=cap, strict=strict)
     if isinstance(upfront, TwoBlockCertificate):
         return upfront
-    arcs = set(d.arcs)
+    level = d
     cycle = list(ham.vertices)
     order: list[int] = []
-    # One entry per deletion round: (deleted vertex, shortcut arc, arc was new,
-    # arc snapshot before the round).  Snapshots feed certificate replay.
-    rounds: list[tuple[int, tuple[int, int], bool, frozenset[tuple[int, int]]]] = []
+    # One entry per round: the level before it, the deleted vertex, and the
+    # shortcut arc if the round added it (None if it was already there).
+    rounds: list[tuple[Digraph, int, tuple[int, int] | None]] = []
 
     while len(cycle) > k + ell:
-        degrees = _underlying_degrees(arcs, cycle)
-        candidates = [w for w in cycle if degrees[w] <= k + ell - 1]
-        if not candidates:
-            snapshot = frozenset(arcs)
-            cert = _detect_on(sorted(cycle), snapshot, k, ell, cap, strict)
-            if isinstance(cert, AbsenceReport):
-                raise StructuralViolation(
-                    "no low-degree vertex yet exhaustive detection found nothing"
-                )
-            return _replay_certificate(cert, rounds, d, k, ell)
-        w = min(candidates)
+        low = [w for w in cycle if level.underlying_degree(w) <= k + ell - 1]
+        if not low:
+            sub, corr = induced(level, cycle)
+            found = find_two_block_cycle(sub, k, ell, cap=cap, strict=strict)
+            if isinstance(found, AbsenceReport):
+                raise _no_certificate(found, sub.n, cap)
+            return _replay_certificate(found, corr, rounds, k, ell)
+        w = min(low)
         i = cycle.index(w)
-        prev_v = cycle[i - 1]
-        next_v = cycle[(i + 1) % len(cycle)]
-        snapshot = frozenset(arcs)
-        arcs = {a for a in arcs if w not in a}
-        shortcut = (prev_v, next_v)
-        was_new = shortcut not in arcs
+        shortcut = (cycle[i - 1], cycle[(i + 1) % len(cycle)])
+        new = None if level.has_arc(*shortcut) else shortcut
+        rounds.append((level, w, new))
+        arcs = {a for a in level.arcs if w not in a}
         arcs.add(shortcut)
-        rounds.append((w, shortcut, was_new, snapshot))
+        level = Digraph(d.n, frozenset(arcs))
         order.append(w)
         cycle.pop(i)
 
@@ -124,77 +140,37 @@ def ham_degeneracy_order(
     return EliminationOrder(tuple(order), k + ell - 1)
 
 
-def _underlying_degrees(
-    arcs: set[tuple[int, int]], vertices: list[int]
-) -> dict[int, int]:
-    neighbors: dict[int, set[int]] = {v: set() for v in vertices}
-    for t, h in arcs:
-        neighbors[t].add(h)
-        neighbors[h].add(t)
-    return {v: len(ns) for v, ns in neighbors.items()}
-
-
-def _detect_on(
-    vertices: list[int],
-    arcs: frozenset[tuple[int, int]],
-    k: int,
-    ell: int,
-    cap: int | None,
-    strict: bool,
-) -> TwoBlockCertificate | AbsenceReport:
-    # Run detection on a sub-universe digraph, mapping ids back afterwards.
-    relabel = {v: i for i, v in enumerate(vertices)}
-    dense = Digraph(
-        len(vertices), frozenset((relabel[t], relabel[h]) for t, h in arcs)
-    )
-    result = find_two_block_cycle(dense, k, ell, cap=cap, strict=strict)
-    if isinstance(result, AbsenceReport):
-        return result
-    back = dict(enumerate(vertices))
-    return TwoBlockCertificate(
-        back[result.u],
-        back[result.v],
-        DiPath(tuple(back[x] for x in result.path_a.vertices)),
-        DiPath(tuple(back[x] for x in result.path_b.vertices)),
-        k,
-        ell,
-    )
-
-
 def _replay_certificate(
-    cert: TwoBlockCertificate,
-    rounds: list[tuple[int, tuple[int, int], bool, frozenset[tuple[int, int]]]],
-    d: Digraph,
+    found: TwoBlockCertificate,
+    corr: tuple[int, ...],
+    rounds: list[tuple[Digraph, int, tuple[int, int] | None]],
     k: int,
     ell: int,
 ) -> TwoBlockCertificate:
-    """Lift a certificate through the shortcut rounds back into ``d``."""
-    for deleted, shortcut, was_new, snapshot in reversed(rounds):
-        if was_new:
-            cert = TwoBlockCertificate(
-                cert.u,
-                cert.v,
-                _expand_arc(cert.path_a, shortcut, deleted),
-                _expand_arc(cert.path_b, shortcut, deleted),
-                k,
-                ell,
-            )
-        level = Digraph(d.n, snapshot)
+    """Map a certificate found on a relabeled level back to the input's ids,
+    then lift it through the shortcut rounds, verifying it at every stored
+    level; the first round stored the input digraph itself."""
+    a = tuple(corr[x] for x in found.path_a.vertices)
+    b = tuple(corr[x] for x in found.path_b.vertices)
+    cert = TwoBlockCertificate(a[0], a[-1], DiPath(a), DiPath(b), k, ell)
+    for level, deleted, shortcut in reversed(rounds):
+        if shortcut is not None:
+            a, b = _expand_arc(a, shortcut, deleted), _expand_arc(b, shortcut, deleted)
+            cert = TwoBlockCertificate(a[0], a[-1], DiPath(a), DiPath(b), k, ell)
         if not verify_certificate(level, cert, k, ell):
             raise StructuralViolation(
-                "certificate replay failed verification at an intermediate level"
+                "certificate replay failed verification at a shortcut level"
             )
-    if not verify_certificate(d, cert, k, ell):
-        raise StructuralViolation("replayed certificate invalid in the input digraph")
     return cert
 
 
-def _expand_arc(path: DiPath, arc: tuple[int, int], mid: int) -> DiPath:
-    vs = path.vertices
+def _expand_arc(
+    vs: tuple[int, ...], arc: tuple[int, int], mid: int
+) -> tuple[int, ...]:
     for i in range(len(vs) - 1):
         if (vs[i], vs[i + 1]) == arc:
-            return DiPath(vs[: i + 1] + (mid,) + vs[i + 1 :])
-    return path
+            return vs[: i + 1] + (mid,) + vs[i + 1 :]
+    return vs
 
 
 def color_hamiltonian(

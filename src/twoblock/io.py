@@ -6,8 +6,8 @@ import json
 from typing import IO, TYPE_CHECKING
 
 from .coloring import Coloring, EliminationOrder
-from .digraph import Digraph, build_digraph
-from .errors import ParseError
+from .digraph import Digraph, add_arc
+from .errors import ParseError, TwoBlockError
 
 if TYPE_CHECKING:
     from .pipeline import ContractionTrace
@@ -17,7 +17,8 @@ def read_edge_list(source: str | IO[str]) -> Digraph:
     """Parse the text format: first line ``n``, then one ``tail head`` per line.
 
     Blank lines are skipped and ``#`` starts a comment (whole-line or
-    trailing).  Vertex ids are 0-based.
+    trailing).  Vertex ids are 0-based.  A loop, duplicate or out-of-range
+    arc is reported at its own line.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -25,7 +26,7 @@ def read_edge_list(source: str | IO[str]) -> Digraph:
     else:
         lines = source.readlines()
     n: int | None = None
-    arcs: list[tuple[int, int]] = []
+    arcs: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -47,13 +48,13 @@ def read_edge_list(source: str | IO[str]) -> Digraph:
             tail, head = int(fields[0]), int(fields[1])
         except ValueError:
             raise ParseError(f"non-integer endpoint in {text!r}", lineno) from None
-        arcs.append((tail, head))
+        try:
+            add_arc(arcs, n, tail, head)
+        except TwoBlockError as exc:
+            raise ParseError(str(exc), lineno) from exc
     if n is None:
         raise ParseError("missing vertex count line", len(lines) + 1)
-    try:
-        return build_digraph(n, arcs)
-    except Exception as exc:  # re-tag structural problems as parse errors
-        raise ParseError(str(exc), len(lines)) from exc
+    return Digraph(n, frozenset(arcs))
 
 
 def write_edge_list(d: Digraph) -> str:

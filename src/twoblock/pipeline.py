@@ -135,7 +135,9 @@ def build_contraction_trace(
     while True:
         found = find_two_block_cycle(cur, k, ell, cap=detect_cap, strict=strict, seed=seed)
         if isinstance(found, TwoBlockCertificate):
-            return _lift_through_steps(found, steps, k, ell)
+            for step in reversed(steps):
+                found = _uncontract_certificate(found, step, k, ell)
+            return found
         coloring = k_colorable(underlying_graph(cur), 2 * k - 3, cap=color_cap)
         if coloring is not None:
             return ContractionTrace(k, ell, tuple(steps), cur, coloring, strict)
@@ -153,74 +155,39 @@ def build_contraction_trace(
         cur = nxt
 
 
-def _lift_through_steps(
-    cert: TwoBlockCertificate, steps: list[TraceStep], k: int, ell: int
-) -> TwoBlockCertificate:
-    for step in reversed(steps):
-        cert = _uncontract_certificate(cert, step, k, ell)
-    return cert
-
-
 def _uncontract_certificate(
     cert: TwoBlockCertificate, step: TraceStep, k: int, ell: int
 ) -> TwoBlockCertificate:
-    """Replace the contracted vertex by a detour along the contracted cycle."""
+    """Replace the contracted vertex by a detour along the contracted cycle.
+
+    A path through the contracted vertex enters the cycle at the lowest
+    member its predecessor has an arc into, leaves at the lowest member with
+    an arc to its successor, and follows the cycle in between; a path that
+    starts (ends) there leaves where it enters.  If the two spliced paths
+    then start or end at different members, ``path_a`` takes the cycle
+    segment that joins them.
+    """
     pm, v_s, cyc, d_i = step.pmap, step.new_vertex, step.cycle, step.digraph
+    members = pm.of(v_s)
+    pre = {x: min(image) for x, image in pm.mapping.items()}
 
-    def pre(x: int) -> int:
-        return min(pm.of(x))
+    def splice(vs: tuple[int, ...]) -> tuple[int, ...]:
+        if v_s not in vs:
+            return tuple(pre[x] for x in vs)
+        i = vs.index(v_s)
+        before = tuple(pre[x] for x in vs[:i])
+        after = tuple(pre[x] for x in vs[i + 1 :])
+        enter = [w for w in members if before and d_i.has_arc(before[-1], w)]
+        leave = [w for w in members if after and d_i.has_arc(w, after[0])]
+        detour = cycle_segment(cyc, min(enter or leave), min(leave or enter))
+        return before + detour.vertices + after
 
-    s_sorted = sorted(pm.of(v_s))
-    a_vs = cert.path_a.vertices
-    b_vs = cert.path_b.vertices
-
-    if v_s == cert.u:
-        a1, b1 = a_vs[1], b_vs[1]
-        w_a = min(w for w in s_sorted if d_i.has_arc(w, pre(a1)))
-        w_b = min(w for w in s_sorted if d_i.has_arc(w, pre(b1)))
-        rest_a = tuple(pre(x) for x in a_vs[1:])
-        rest_b = tuple(pre(x) for x in b_vs[1:])
-        if w_a == w_b:
-            new_a, new_b = (w_a,) + rest_a, (w_b,) + rest_b
-        else:
-            new_a = cycle_segment(cyc, w_b, w_a).vertices + rest_a
-            new_b = (w_b,) + rest_b
-        new_u, new_v = new_a[0], pre(cert.v)
-    elif v_s == cert.v:
-        za, zb = a_vs[-2], b_vs[-2]
-        w_a = min(w for w in s_sorted if d_i.has_arc(pre(za), w))
-        w_b = min(w for w in s_sorted if d_i.has_arc(pre(zb), w))
-        head_a = tuple(pre(x) for x in a_vs[:-1])
-        head_b = tuple(pre(x) for x in b_vs[:-1])
-        if w_a == w_b:
-            new_a, new_b = head_a + (w_a,), head_b + (w_b,)
-        else:
-            new_a = head_a + cycle_segment(cyc, w_a, w_b).vertices
-            new_b = head_b + (w_b,)
-        new_u, new_v = pre(cert.u), new_a[-1]
-    else:
-
-        def splice(vs: tuple[int, ...]) -> tuple[int, ...]:
-            if v_s not in vs:
-                return tuple(pre(x) for x in vs)
-            i = vs.index(v_s)
-            w_in = min(w for w in s_sorted if d_i.has_arc(pre(vs[i - 1]), w))
-            w_out = min(w for w in s_sorted if d_i.has_arc(w, pre(vs[i + 1])))
-            mid = (
-                (w_in,)
-                if w_in == w_out
-                else cycle_segment(cyc, w_in, w_out).vertices
-            )
-            return (
-                tuple(pre(x) for x in vs[:i])
-                + mid
-                + tuple(pre(x) for x in vs[i + 1 :])
-            )
-
-        new_a, new_b = splice(a_vs), splice(b_vs)
-        new_u, new_v = pre(cert.u), pre(cert.v)
-
-    lifted = TwoBlockCertificate(new_u, new_v, DiPath(new_a), DiPath(new_b), k, ell)
+    a, b = splice(cert.path_a.vertices), splice(cert.path_b.vertices)
+    if a[0] != b[0]:
+        a = cycle_segment(cyc, b[0], a[0]).vertices + a[1:]
+    if a[-1] != b[-1]:
+        a = a[:-1] + cycle_segment(cyc, a[-1], b[-1]).vertices
+    lifted = TwoBlockCertificate(a[0], a[-1], DiPath(a), DiPath(b), k, ell)
     if not verify_certificate(d_i, lifted, k, ell):
         raise StructuralViolation(
             "certificate lift failed verification at a contraction level"
@@ -634,9 +601,7 @@ def _closest_cycle_pair(
     return best
 
 
-def order_F1(
-    f1: Digraph, tree: CycleTree, k: int, ell: int
-) -> EliminationOrder:
+def order_F1(f1: Digraph, k: int, ell: int) -> EliminationOrder:
     """A deletion order of F1 with back-degree at most ``k + 2*ell - 2``.
 
     Minimum-degree peeling computes the exact degeneracy (Matula & Beck
@@ -690,7 +655,7 @@ def color_F(f: Digraph, tree: CycleTree, k: int, ell: int) -> Coloring:
     split = split_arcs(f, tree, labels)
     validate_structure(f, tree, split, k, ell)
     f1 = Digraph(f.n, split.f1_arcs)
-    order = order_F1(f1, tree, k, ell)
+    order = order_F1(f1, k, ell)
     rho1 = greedy_color_by_order(underlying_graph(f1), order)
     if rho1.palette_size > k + 2 * ell - 1:
         raise StructuralViolation(

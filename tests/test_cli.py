@@ -5,9 +5,10 @@ from io import StringIO
 
 import pytest
 
+from twoblock import cli
 from twoblock.cli import main
 from twoblock.digraph import build_digraph
-from twoblock.errors import ParseError
+from twoblock.errors import AttachMismatch, ParseError, StructuralViolation
 from twoblock.io import read_edge_list, write_dot, write_edge_list
 
 from oracles import random_digraph
@@ -57,6 +58,13 @@ class TestEdgeListFormat:
     def test_malformed_line_reports_number(self):
         with pytest.raises(ParseError) as err:
             read_edge_list(StringIO("3\n0 1\n1 2 9\n"))
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("bad", ["1 1", "0 1", "0 7"])
+    def test_bad_arc_reports_its_line(self, bad):
+        # a loop, a duplicate and an out-of-range arc, each mid-file
+        with pytest.raises(ParseError) as err:
+            read_edge_list(StringIO(f"3\n0 1\n{bad}\n1 2\n2 0\n"))
         assert err.value.line == 3
 
     def test_missing_count(self):
@@ -109,6 +117,33 @@ class TestExitCodes:
         )
         assert code == 1
         assert json.loads(capsys.readouterr().out)["mode"] == "capped"
+
+    @pytest.mark.parametrize("error", [StructuralViolation, AttachMismatch])
+    def test_failed_invariant_is_internal_error(
+        self, error, c6_file, capsys, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise error("invariant failed")
+
+        monkeypatch.setattr(cli, "run_pipeline", broken)
+        assert main(["color", "--k", "2", "--ell", "1", c6_file]) == 5
+        assert "invariant failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "--k", "2", "--ell", "1", "--json"],
+            ["detect", "--k", "2", "--ell", "1", "--dot", "out.dot"],
+            ["longest-cycle", "--dot", "out.dot"],
+            ["chromatic", "--strict"],
+            ["chromatic", "--heuristic"],
+        ],
+    )
+    def test_unread_flags_are_rejected(self, argv, c6_file, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + [c6_file])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCommands:

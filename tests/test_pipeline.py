@@ -300,19 +300,32 @@ class TestValidateStructure:
                 split = split_arcs(f, tree, labels)
                 validate_structure(f, tree, split, 3, 3)
 
+    def test_f1_external_arc_reaches_comparability_check(self):
+        # The one external arc stays in F1, so the comparability and
+        # per-prefix degree checks run on it.
+        d = random_cycle_tree_free(11, 3, 3, seed=6, cap=13)
+        run = run_pipeline(d, 3, 3, detect_cap=13)
+        assert run.class_members == (tuple(range(11)),)
+        tree = extract_cycle_tree(run.trace, 0)
+        f, _ = induced(d, run.class_members[0])
+        split = split_arcs(f, tree, phi_labeling(f, tree, 3))
+        assert validate_structure(f, tree, split, 3, 3) == {
+            "external_arcs": 1,
+            "f1_external_arcs": 1,
+            "prefix_vertices_checked": 7,
+        }
+
 
 class TestOrderF1:
     def test_bare_cycle_bound_two(self):
         f1 = directed_cycle(6)
-        tree = _build_cycle_tree(6, [[0, 1, 2, 3, 4, 5]])
-        order = order_F1(f1, tree, 2, 1)
+        order = order_F1(f1, 2, 1)
         assert order.bound <= 2 <= 2 + 2 * 1 - 2 + 2
         assert elimination_back_degree(underlying_graph(f1), order.order) <= 2
 
     def test_chorded_cycle_stays_within_ham_bound(self):
         d = random_strong_ckl_free(9, 3, 2, seed=4)
-        tree = _build_cycle_tree(9, [list(range(9))])
-        order = order_F1(d, tree, 3, 2)
+        order = order_F1(d, 3, 2)
         g = underlying_graph(d)
         assert elimination_back_degree(g, order.order) <= 3 + 2 - 1
 
@@ -338,7 +351,7 @@ class TestOrderF1:
                 labels = phi_labeling(f, tree, 2)
                 split = split_arcs(f, tree, labels)
                 f1 = Digraph(f.n, split.f1_arcs)
-                order = order_F1(f1, tree, 3, 2)
+                order = order_F1(f1, 3, 2)
                 assert (
                     elimination_back_degree(underlying_graph(f1), order.order)
                     <= 3 + 2 * 2 - 2
