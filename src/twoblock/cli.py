@@ -66,7 +66,9 @@ def figure1_tournament() -> Digraph:
     return build_digraph(5, FIGURE1_ARCS)
 
 
-def _env_cap() -> int | None:
+def _resolve_cap(args: argparse.Namespace) -> int | None:
+    if getattr(args, "cap", None) is not None:
+        return args.cap
     raw = os.environ.get("TWOBLOCK_CAP")
     if raw is None:
         return None
@@ -76,22 +78,17 @@ def _env_cap() -> int | None:
         raise UsageError(f"TWOBLOCK_CAP must be an integer, got {raw!r}") from None
 
 
-def _resolve_cap(args: argparse.Namespace) -> int | None:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    return _env_cap()
-
-
-def _emit_coloring(args, d: Digraph, coloring, extra: dict | None = None) -> None:
+def _emit_coloring(
+    args, d: Digraph, coloring, extra: dict | None = None, text: str | None = None
+) -> None:
+    """Check ``coloring``, then print it as JSON (with ``extra``) or as
+    ``text`` and write the DOT file if asked."""
     if not is_proper(underlying_graph(d), coloring):
         raise StructuralViolation("emitted coloring is not proper")
     if args.json:
-        payload = {"coloring": io.coloring_to_dict(coloring)}
-        if extra:
-            payload.update(extra)
-        print(io.to_json(payload))
+        print(io.to_json({"coloring": io.coloring_to_dict(coloring), **(extra or {})}))
     else:
-        print(f"proper coloring with {coloring.palette_size} colors")
+        print(text or f"proper coloring with {coloring.palette_size} colors")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(io.write_dot(d, coloring))
@@ -103,11 +100,8 @@ def _cmd_detect(args) -> int:
     result = find_two_block_cycle(
         d, args.k, args.ell, cap=cap, strict=args.strict
     )
-    if isinstance(result, TwoBlockCertificate):
-        print(io.to_json(result.to_json_dict()))
-        return EXIT_OK
     print(io.to_json(result.to_json_dict()))
-    return EXIT_NEGATIVE
+    return EXIT_OK if isinstance(result, TwoBlockCertificate) else EXIT_NEGATIVE
 
 
 def _cmd_color(args) -> int:
@@ -170,15 +164,9 @@ def _cmd_chromatic(args) -> int:
     chi, coloring = chromatic_number(
         underlying_graph(d), cap=raised_cap(cap, DEFAULT_COLOR_CAP)
     )
-    if not is_proper(underlying_graph(d), coloring):
-        raise StructuralViolation("chromatic coloring is not proper")
-    if args.json:
-        print(io.to_json({"chi": chi, "coloring": io.coloring_to_dict(coloring)}))
-    else:
-        print(f"chromatic number: {chi}")
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(io.write_dot(d, coloring))
+    _emit_coloring(
+        args, d, coloring, extra={"chi": chi}, text=f"chromatic number: {chi}"
+    )
     return EXIT_OK
 
 

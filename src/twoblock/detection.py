@@ -5,15 +5,18 @@ directed paths from some vertex ``u`` to some other vertex ``v``, of lengths
 at least ``k`` and at least ``ell``.  A digon is not a two-block cycle: its
 two arcs run in opposite directions, not from ``u`` to ``v`` twice.
 
-Every search runs on one iterative path kernel, ``_paths``, which yields
-the simple u->v paths (or the cycles through u) of a given minimum length
-in depth-first order and prunes with bitmask reachability; arc-anchored
-detection adds ``_walks``, a plain preorder path enumerator.  Neither
-recurses, so path length is not bounded by the interpreter's recursion
-limit.  The searches are exponential, but the pruning keeps exhaustive
-proofs comfortable at desk scale.  Beyond the cap, strict mode refuses and
-heuristic mode falls back to a randomized search whose negatives are
-explicitly tagged as unverified.
+Exhaustive and heuristic detection, the longest cycle and the Hamiltonian
+cycle all run on one iterative path kernel, ``_paths``, which yields the
+simple u->v paths (or the cycles through u) of a given minimum length in
+depth-first order and prunes with bitmask reachability.  Arc-anchored
+detection enumerates its first paths with ``_walks``, a plain preorder path
+enumerator, and finds each second path with ``_paths``.  Neither recurses,
+so path length is not bounded by the interpreter's recursion limit.  The
+searches are exponential, but the pruning keeps exhaustive proofs
+comfortable at desk scale.  Beyond the cap, strict mode refuses; heuristic
+mode runs the same search under an expansion budget (detection also in a
+random order over a sample of pairs), so its negatives are tagged as
+unverified and its longest cycle is not certified longest.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .digraph import (
     DiCycle,
     DiPath,
     cycle_segment,
+    is_strong,
     iter_bits,
     path_in,
     reach_mask,
@@ -435,20 +439,24 @@ def find_two_block_cycle_through_arc(
 
 
 def longest_cycle(
-    d: Digraph, *, cap: int | None = None, strict: bool = True, seed: int = 0
+    d: Digraph, *, cap: int | None = None, strict: bool = True
 ) -> DiCycle:
-    """An exact longest cycle with a reproducible tie-break.
+    """A longest cycle with a reproducible tie-break.
 
     Among maximum-length cycles the one whose min-vertex-first rotation is
-    lexicographically least is returned.  Heuristic mode (above the cap)
-    returns the best cycle a randomized search finds; it is a genuine cycle
-    but not certified longest.
+    lexicographically least is returned.  Above the cap, strict mode raises
+    :class:`CapExceeded`; heuristic mode runs the same search under one
+    shared expansion budget and returns the best cycle found when it runs
+    out: a genuine cycle, but not certified longest.  :class:`Acyclic` is
+    exact in both modes, because the first cycle is searched without a
+    budget and the pruning finds it without backtracking.
     """
     cap = DEFAULT_CYCLE_CAP if cap is None else cap
+    budget = None
     if d.n > cap:
         if strict:
             raise CapExceeded(f"exact longest cycle needs n <= {cap}, got {d.n}")
-        return _heuristic_longest_cycle(d, seed)
+        budget = [_HEURISTIC_BUDGET]
     best: tuple[int, ...] = ()
     out_mask, in_mask = d.out_mask, d.in_mask
     full = (1 << d.n) - 1
@@ -457,43 +465,19 @@ def longest_cycle(
         region = reach_mask(in_mask, s, allowed) & reach_mask(out_mask, s, allowed)
         # Each search asks for a strictly longer cycle through s, so the
         # first cycle found at the final length is the lexicographically least.
-        while region.bit_count() > len(best):
-            cycle = next(_paths(out_mask, in_mask, s, s, region, len(best) + 1), None)
+        # A start whose strong region is itself alone lies on no cycle.  The
+        # first cycle needs no budget: every vertex the kernel expands still
+        # reaches s, so it never backtracks.
+        while region.bit_count() > max(len(best), 1):
+            paths = _paths(out_mask, in_mask, s, s, region, len(best) + 1,
+                           budget=budget if best else None)
+            cycle = next(paths, None)
             if cycle is None:
                 break
             best = tuple(cycle)
     if not best:
         raise Acyclic("the digraph contains no directed cycle")
     return DiCycle(best)
-
-
-def _heuristic_longest_cycle(d: Digraph, seed: int) -> DiCycle:
-    rng = random.Random(seed)
-    best: list[int] | None = None
-    out_adj = d.out_adj
-    starts = list(range(d.n))
-    rng.shuffle(starts)
-    for s in starts[: min(d.n, 40)]:
-        for _ in range(20):
-            path = [s]
-            used = {s}
-            while True:
-                options = [x for x in out_adj[path[-1]] if x not in used]
-                if d.has_arc(path[-1], s) and len(path) >= 2:
-                    if best is None or len(path) > len(best):
-                        best = path.copy()
-                if not options:
-                    break
-                path.append(rng.choice(options))
-                used.add(path[-1])
-    if best is None:
-        # Fall back to digon scan; heuristics may miss short cycles.
-        for t, h in sorted(d.arcs):
-            if d.has_arc(h, t):
-                return DiCycle((min(t, h), max(t, h)))
-        raise Acyclic("no cycle found (heuristic mode)")
-    i = best.index(min(best))
-    return DiCycle(tuple(best[i:] + best[:i]))
 
 
 def hamiltonian_cycle(d: Digraph, *, cap: int | None = None) -> DiCycle | None:
@@ -505,14 +489,9 @@ def hamiltonian_cycle(d: Digraph, *, cap: int | None = None) -> DiCycle | None:
     cap = DEFAULT_CYCLE_CAP if cap is None else cap
     if d.n > cap:
         raise CapExceeded(f"Hamiltonicity search needs n <= {cap}, got {d.n}")
-    if d.n < 2:
+    if d.n < 2 or not is_strong(d):
         return None
-    out_mask, in_mask = d.out_mask, d.in_mask
-    n = d.n
-    full = (1 << n) - 1
-    if reach_mask(out_mask, 0, full) != full or reach_mask(in_mask, 0, full) != full:
-        return None
-    cycle = next(_paths(out_mask, in_mask, 0, 0, full, n), None)
+    cycle = next(_paths(d.out_mask, d.in_mask, 0, 0, (1 << d.n) - 1, d.n), None)
     return None if cycle is None else DiCycle(tuple(cycle))
 
 

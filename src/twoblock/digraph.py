@@ -80,9 +80,6 @@ class Digraph:
     def has_arc(self, tail: int, head: int) -> bool:
         return bool((self.out_mask[tail] >> head) & 1)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     @property
     def arc_count(self) -> int:
         return len(self.arcs)
@@ -106,15 +103,8 @@ class UGraph:
             masks[b] |= 1 << a
         return tuple(masks)
 
-    @cached_property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(iter_bits(m)) for m in self.adj_mask)
-
     def degree(self, v: int) -> int:
         return self.adj_mask[v].bit_count()
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return bool((self.adj_mask[a] >> b) & 1)
 
     @property
     def edge_count(self) -> int:
@@ -186,9 +176,6 @@ class DiCycle:
 
     def successor(self, v: int) -> int:
         return self.vertices[(self.index(v) + 1) % len(self.vertices)]
-
-    def predecessor(self, v: int) -> int:
-        return self.vertices[self.index(v) - 1]
 
     def canonical(self) -> DiCycle:
         """Rotate so the minimum vertex id comes first."""
@@ -299,7 +286,13 @@ def strong_components(d: Digraph) -> tuple[frozenset[int], ...]:
 
 
 def is_strong(d: Digraph) -> bool:
-    return d.n >= 1 and len(strong_components(d)) == 1
+    """True iff ``d`` is nonempty and vertex 0 reaches and is reached by all."""
+    full = (1 << d.n) - 1
+    return (
+        d.n >= 1
+        and reach_mask(d.out_mask, 0, full) == full
+        and reach_mask(d.in_mask, 0, full) == full
+    )
 
 
 def contract(d: Digraph, s: Iterable[int]) -> tuple[Digraph, PreimageMap]:

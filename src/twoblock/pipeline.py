@@ -141,7 +141,7 @@ def build_contraction_trace(
         coloring = k_colorable(underlying_graph(cur), 2 * k - 3, cap=color_cap)
         if coloring is not None:
             return ContractionTrace(k, ell, tuple(steps), cur, coloring, strict)
-        cyc = longest_cycle(cur, cap=cycle_cap, strict=strict, seed=seed)
+        cyc = longest_cycle(cur, cap=cycle_cap, strict=strict)
         if cyc.length < 2 * k - 2:
             raise StructuralViolation(
                 f"longest cycle has length {cyc.length} < {2 * k - 2} although "

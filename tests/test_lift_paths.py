@@ -63,6 +63,32 @@ def glued_cycles(seed: int) -> tuple[Digraph, int, int, int]:
     return Digraph(n, frozenset(arcs)), k, ell, n - rng.randint(1, 4)
 
 
+def fanned_cycles(seed: int) -> tuple[Digraph, int, int, int]:
+    """A 5-7 cycle on vertices 0.. with cycles of length 2-4 glued on, 2-3
+    of its vertices fanned into one or two later vertices, and 0-2 random
+    arcs; a pair (k, ell) and a detection cap below the vertex count.  The
+    fans give contraction lifts a choice of exit member."""
+    rng = random.Random(seed)
+    target = rng.randint(10, 14)
+    base = rng.randint(5, 7)
+    n = base
+    arcs = {(i, (i + 1) % n) for i in range(n)}
+    while n < target:
+        length = rng.randint(2, 4)
+        ring = [rng.randrange(n)] + list(range(n, n + length - 1))
+        n += length - 1
+        arcs |= {(ring[i], ring[(i + 1) % length]) for i in range(length)}
+    for _ in range(rng.randint(1, 2)):
+        hub = rng.randrange(base, n)
+        for x in rng.sample(range(base), rng.randint(2, 3)):
+            arcs.add((x, hub))
+    for _ in range(rng.randint(0, 2)):
+        t, h = rng.sample(range(n), 2)
+        arcs.add((t, h))
+    k, ell = rng.choice(PAIRS)
+    return Digraph(n, frozenset(arcs)), k, ell, n - rng.randint(1, 4)
+
+
 def hamiltonian_case(seed: int) -> tuple[Digraph, DiCycle, int, int, int]:
     """A shuffled Hamiltonian cycle plus n to 3n random arcs, with a pair
     (k, ell) and a detection cap below the vertex count."""
@@ -83,30 +109,53 @@ def _digest(outcomes: list) -> str:
     return hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
 
 
+def _trace_outcome(d: Digraph, k: int, ell: int, cap: int):
+    """One heuristic contraction run as a JSON value; errors give None."""
+    try:
+        result = pipeline.build_contraction_trace(
+            d, k, ell, detect_cap=cap, strict=False
+        )
+    except TwoBlockError:
+        return None
+    if isinstance(result, TwoBlockCertificate):
+        assert verify_certificate(d, result, k, ell)
+        return result.to_json_dict()
+    return [list(result.lengths()), list(result.final_coloring.colors)]
+
+
 def test_contraction_lift(monkeypatch):
     lifts = _counting(monkeypatch, pipeline, "_uncontract_certificate")
     outcomes: list = []
     lifted = 0
     for seed in range(600):
-        d, k, ell, cap = glued_cycles(seed)
         lifts[0] = 0
-        try:
-            result = pipeline.build_contraction_trace(
-                d, k, ell, detect_cap=cap, strict=False
-            )
-        except TwoBlockError:
-            outcomes.append(None)
-            continue
-        if isinstance(result, TwoBlockCertificate):
-            assert verify_certificate(d, result, k, ell)
-            lifted += lifts[0] > 0
-            outcomes.append(result.to_json_dict())
-        else:
-            colors = list(result.final_coloring.colors)
-            outcomes.append([list(result.lengths()), colors])
+        outcomes.append(_trace_outcome(*glued_cycles(seed)))
+        lifted += isinstance(outcomes[-1], dict) and lifts[0] > 0
     assert lifted >= 1
     assert _digest(outcomes) == (
         "2c3838d95cbe733406d214f5f729f167332fda7d6c446f275c5289872130fb19"
+    )
+
+
+def test_contraction_lift_exit_tie_break(monkeypatch):
+    # Count, for every lifted path that leaves the contracted vertex, the
+    # cycle members with an arc to its successor: the exit candidates.
+    inner = pipeline._uncontract_certificate
+    exits: list[int] = []
+
+    def wrapper(cert, step, k, ell):
+        v_s, members = step.new_vertex, step.pmap.of(step.new_vertex)
+        for vs in (cert.path_a.vertices, cert.path_b.vertices):
+            if v_s in vs[:-1]:
+                (succ,) = step.pmap.of(vs[vs.index(v_s) + 1])
+                exits.append(sum(step.digraph.has_arc(w, succ) for w in members))
+        return inner(cert, step, k, ell)
+
+    monkeypatch.setattr(pipeline, "_uncontract_certificate", wrapper)
+    outcomes = [_trace_outcome(*fanned_cycles(seed)) for seed in range(300)]
+    assert sum(count >= 2 for count in exits) >= 10
+    assert _digest(outcomes) == (
+        "76210268352dd5ec80be44261e0871143cb05c0542e62613545eee7f8b6c0e7c"
     )
 
 
