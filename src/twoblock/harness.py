@@ -1,7 +1,8 @@
 """Instance generation, small-tournament enumeration, and empirical audits.
 
-Everything here is deterministic per (seed, configuration): enumeration runs
-in bitmask order, random generators take explicit seeds, and reports sort by
+Everything here is deterministic per (seed, configuration): labeled
+enumeration runs in bitmask order, isomorphism classes come in increasing
+canonical form, random generators take explicit seeds, and reports sort by
 instance id so output files are byte-stable regardless of worker count.
 """
 
@@ -25,10 +26,11 @@ from .detection import (
     hamiltonian_cycle,
     longest_cycle,
 )
-from .digraph import Digraph, is_strong, underlying_graph
-from .errors import CapExceeded, PreconditionViolated
+from .digraph import Digraph, is_strong, iter_bits, underlying_graph
+from .errors import CapExceeded, PreconditionViolated, StructuralViolation
 
 TOURNAMENT_CAP = 7
+CLASS_CAP = 8
 
 
 def encode_arcs_hex(d: Digraph) -> str:
@@ -41,7 +43,11 @@ def encode_arcs_hex(d: Digraph) -> str:
 
 
 def decode_arcs_hex(n: int, encoded: str) -> Digraph:
-    bits = int(encoded, 16)
+    return _from_bits(n, int(encoded, 16))
+
+
+def _from_bits(n: int, bits: int) -> Digraph:
+    """The digraph whose arc ``i -> j`` is bit ``i * n + j`` of ``bits``."""
     arcs = frozenset(
         (i, j)
         for i in range(n)
@@ -126,16 +132,113 @@ def _tournament(n: int, bits: int) -> Digraph:
 
 
 def canonical_form(d: Digraph) -> int:
-    """Minimum adjacency bitmask over all vertex permutations (exact, small n)."""
-    n = d.n
+    """An adjacency bitmask (bit ``t * n + h`` for the arc ``t -> h``) that
+    two digraphs share exactly when they are isomorphic.
+
+    Individualization and refinement (McKay & Piperno, "Practical graph
+    isomorphism II", 2014): the ordered partition of the vertices is refined
+    by ``_refine``; the search then individualizes, in turn, each vertex of
+    the first cell with more than one vertex and refines again, down to
+    discrete partitions (leaves).  Each leaf numbers the vertices in cell
+    order, and the form is the least bitmask over all leaves.  Refinement
+    and branching commute with relabeling, so the set of leaf bitmasks
+    depends only on the isomorphism class.  The null digraph gives 0.
+    """
+    return _canonical_masks(d.n, d.out_mask, d.in_mask)
+
+
+def _canonical_masks(n: int, out: tuple[int, ...], inn: tuple[int, ...]) -> int:
+    """``canonical_form`` of the digraph with out-masks ``out`` and
+    in-masks ``inn``."""
     best: int | None = None
-    for perm in permutations(range(n)):
-        bits = 0
-        for t, h in d.arcs:
-            bits |= 1 << (perm[t] * n + perm[h])
-        if best is None or bits < best:
-            best = bits
+    stack = [_refine(out, inn, [list(range(n))] if n else [])]
+    while stack:
+        cells = stack.pop()
+        split = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if split is None:
+            label = [0] * n
+            for pos, (v,) in enumerate(cells):
+                label[v] = pos
+            bits = 0
+            for pos, (v,) in enumerate(cells):
+                for h in iter_bits(out[v]):
+                    bits |= 1 << (pos * n + label[h])
+            if best is None or bits < best:
+                best = bits
+            continue
+        cell = cells[split]
+        for v in cell:
+            rest = [w for w in cell if w != v]
+            stack.append(
+                _refine(out, inn, cells[:split] + [[v], rest] + cells[split + 1 :])
+            )
     return best if best is not None else 0
+
+
+def _refine(
+    out: tuple[int, ...], inn: tuple[int, ...], cells: list[list[int]]
+) -> list[list[int]]:
+    """Split every cell by each vertex's (out-count, in-count) into every
+    cell, until no cell splits (the partition is equitable).
+
+    The parts of a split cell replace it in increasing order of their key,
+    which depends only on the ordered partition, never on vertex numbers.
+    """
+    while True:
+        masks = [sum(1 << v for v in c) for c in cells]
+        refined: list[list[int]] = []
+        for c in cells:
+            if len(c) == 1:
+                refined.append(c)
+                continue
+            parts: dict[tuple[int, ...], list[int]] = {}
+            for v in c:
+                key = tuple(
+                    count
+                    for m in masks
+                    for count in ((out[v] & m).bit_count(), (inn[v] & m).bit_count())
+                )
+                parts.setdefault(key, []).append(v)
+            refined.extend(parts[key] for key in sorted(parts))
+        if len(refined) == len(cells):
+            return refined
+        cells = refined
+
+
+def tournament_classes(n: int) -> list[Digraph]:
+    """One tournament per isomorphism class on ``n`` vertices, each labeled
+    by its canonical form, in increasing canonical form.
+
+    Isomorph-free generation by one-vertex extension (McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 1998): every
+    ``(n-1)``-class is extended by a new vertex ``n-1`` with each of the
+    ``2^(n-1)`` out-neighbourhoods, and the extensions are deduplicated by
+    canonical form.  Deleting vertex ``n-1`` of any ``n``-tournament leaves
+    a member of some ``(n-1)``-class, so every class is reached.
+    """
+    if n > CLASS_CAP:
+        raise CapExceeded(f"class enumeration needs n <= {CLASS_CAP}")
+    if n < 1:
+        raise PreconditionViolated("need n >= 1")
+    forms = {0}
+    for m in range(2, n + 1):
+        new = 1 << (m - 1)
+        extended: set[int] = set()
+        for form in forms:
+            base = _from_bits(m - 1, form)
+            for nbhd in range(new):
+                others = new - 1 - nbhd
+                out = tuple(
+                    mask | new if (others >> v) & 1 else mask
+                    for v, mask in enumerate(base.out_mask)
+                ) + (nbhd,)
+                inn = tuple(
+                    mask | new if (nbhd >> v) & 1 else mask
+                    for v, mask in enumerate(base.in_mask)
+                ) + (others,)
+                extended.add(_canonical_masks(m, out, inn))
+        forms = extended
+    return [_from_bits(n, form) for form in sorted(forms)]
 
 
 def random_strong_digraph(n: int, seed: int, *, density: float = 0.3) -> Digraph:
@@ -302,8 +405,7 @@ def _pair_verdicts(d: Digraph) -> list[tuple[int, int, bool]]:
     return verdicts
 
 
-def _evaluate_tournament(args: tuple[int, int]) -> InstanceRecord | None:
-    n, bits = args
+def _evaluate_tournament(n: int, bits: int) -> InstanceRecord | None:
     d = _tournament(n, bits)
     if not is_strong(d):
         return None
@@ -325,22 +427,55 @@ def _evaluate_tournament(args: tuple[int, int]) -> InstanceRecord | None:
     )
 
 
+def _class_hits(d: Digraph) -> list[InstanceRecord]:
+    """Records of every labeled member of ``d``'s class, or none when ``d``
+    is not strong or contains every ``c(k, ell)`` with ``k + ell = n``.
+
+    The members are the ``n!`` relabelings of ``d``, each recorded by its
+    ``_tournament`` bit pattern.
+    """
+    if not is_strong(d) or all(found for _, _, found in _pair_verdicts(d)):
+        return []
+    n = d.n
+    pair_bit = {
+        (i, j): 1 << idx
+        for idx, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n))
+    }
+    members = {
+        sum(pair_bit.get((perm[t], perm[h]), 0) for t, h in d.arcs)
+        for perm in permutations(range(n))
+    }
+    records = [_evaluate_tournament(n, bits) for bits in sorted(members)]
+    if None in records:
+        raise StructuralViolation(
+            f"a relabeling of class {encode_arcs_hex(d)} got other verdicts"
+        )
+    return records
+
+
 def search_problem1(n: int, *, workers: int = 1) -> list[InstanceRecord]:
     """Strong labeled tournaments on ``n`` vertices missing some ``c(k, ell)``
     with ``k + ell = n``; per-pair verdicts are recorded for every hit.
 
     A strong tournament is ``n``-chromatic, so each hit is a digraph whose
     chromatic number meets ``k + ell`` yet avoids that two-block cycle.
+
+    Strength and the pair verdicts are decided once per isomorphism class
+    (``tournament_classes``), and only the classes that miss a pair are
+    expanded to their labeled members.  Strength, the verdicts, the
+    chromatic number, the longest cycle and Hamiltonicity are isomorphism
+    invariants, so the records are those of a sweep over all labeled
+    tournaments.  ``workers`` processes share the classes.
     """
-    if not 4 <= n <= TOURNAMENT_CAP:
-        raise CapExceeded(f"search needs 4 <= n <= {TOURNAMENT_CAP}")
-    jobs = [(n, bits) for bits in range(1 << (n * (n - 1) // 2))]
+    if not 4 <= n <= CLASS_CAP:
+        raise CapExceeded(f"search needs 4 <= n <= {CLASS_CAP}")
+    classes = tournament_classes(n)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_evaluate_tournament, jobs, chunksize=64))
+            results = list(pool.map(_class_hits, classes, chunksize=64))
     else:
-        results = [_evaluate_tournament(job) for job in jobs]
-    hits = [r for r in results if r is not None]
+        results = [_class_hits(d) for d in classes]
+    hits = [r for records in results for r in records]
     hits.sort(key=lambda r: r.instance_id)
     return hits
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from typing import IO, TYPE_CHECKING
 
-from .coloring import Coloring, EliminationOrder
+from .coloring import Coloring
 from .digraph import Digraph, add_arc
 from .errors import ParseError, TwoBlockError
 
@@ -92,10 +92,6 @@ def digraph_to_dict(d: Digraph) -> dict:
 
 def coloring_to_dict(c: Coloring) -> dict:
     return {"palette_size": c.palette_size, "colors": list(c.colors)}
-
-
-def order_to_dict(o: EliminationOrder) -> dict:
-    return {"bound": o.bound, "order": list(o.order)}
 
 
 def trace_to_dict(trace: ContractionTrace) -> dict:

@@ -7,7 +7,7 @@ unpruned recursion, sharing no code path with the optimized library.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 from twoblock.digraph import Digraph, UGraph
 
@@ -156,3 +156,16 @@ def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:
         (i, j) for i in range(n) for j in range(n) if i != j and rng.random() < p
     )
     return Digraph(n, arcs)
+
+
+def canonical_form_brute(d: Digraph) -> int:
+    """Least adjacency bitmask (bit ``t * n + h``) over all n! relabelings."""
+    n = d.n
+    best: int | None = None
+    for perm in permutations(range(n)):
+        bits = 0
+        for t, h in d.arcs:
+            bits |= 1 << (perm[t] * n + perm[h])
+        if best is None or bits < best:
+            best = bits
+    return best if best is not None else 0

@@ -203,9 +203,24 @@ class TestCommands:
 
     def test_search_writes_jsonl(self, tmp_path, capsys):
         out = tmp_path / "res.jsonl"
-        assert main(["search", "--n", "4", "--out", str(out)]) == 0
+        assert main(["search", "--n", "5", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert all(json.loads(line)["vertex_count"] == 4 for line in lines)
+        assert len(lines) == 40
+        assert all(json.loads(line)["vertex_count"] == 5 for line in lines)
+
+    def test_search_n7_finds_nothing(self, tmp_path, capsys):
+        out = tmp_path / "res7.jsonl"
+        assert main(["search", "--n", "7", "--out", str(out)]) == 0
+        assert "0 strong tournaments on 7 vertices miss some pair" in (
+            capsys.readouterr().out
+        )
+        assert out.read_text() == ""
+
+    def test_search_above_class_cap(self, tmp_path, capsys):
+        out = tmp_path / "res9.jsonl"
+        assert main(["search", "--n", "9", "--out", str(out)]) == 4
+        assert "search needs 4 <= n <= 8" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bondy_check(self, capsys):
         assert main(["bondy-check", "--count", "12", "--max-n", "8", "--seed", "1"]) == 0

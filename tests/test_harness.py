@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from twoblock import harness
 from twoblock.coloring import chromatic_number
 from twoblock.detection import AbsenceReport, find_two_block_cycle, hamiltonian_cycle
-from twoblock.digraph import build_digraph, is_strong, underlying_graph
-from twoblock.errors import CapExceeded, PreconditionViolated
+from twoblock.digraph import Digraph, build_digraph, is_strong, underlying_graph
+from twoblock.errors import CapExceeded, PreconditionViolated, StructuralViolation
 from twoblock.harness import (
     InstanceRecord,
     audit_bondy,
@@ -21,10 +22,22 @@ from twoblock.harness import (
     random_strong_ckl_free,
     random_strong_digraph,
     search_problem1,
+    tournament_classes,
     write_records,
 )
 
-from oracles import random_digraph
+from oracles import canonical_form_brute, random_digraph
+
+# OEIS A000568 (tournaments on n vertices up to isomorphism) and A051337
+# (the strong ones), n = 1..7.
+CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 456}
+STRONG_CLASS_COUNTS = {1: 1, 2: 0, 3: 1, 4: 1, 5: 6, 6: 35, 7: 353}
+
+
+def same_partition(digraphs, form_a, form_b) -> bool:
+    """Whether two canonical forms split ``digraphs`` into the same classes."""
+    pairs = {(form_a(d), form_b(d)) for d in digraphs}
+    return len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
 
 
 class TestEncoding:
@@ -68,6 +81,44 @@ class TestEnumerateTournaments:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             list(enumerate_tournaments(8))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_dedup_keeps_first_of_each_brute_force_class(self, n):
+        labeled = list(enumerate_tournaments(n))
+        assert same_partition(labeled, canonical_form, canonical_form_brute)
+        first: dict[int, Digraph] = {}
+        for d in labeled:
+            first.setdefault(canonical_form_brute(d), d)
+        assert list(enumerate_tournaments(n, dedup=True)) == list(first.values())
+
+
+class TestCanonicalForm:
+    def test_all_4_vertex_digraphs_match_brute_force(self):
+        pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
+        digraphs = [
+            Digraph(4, frozenset(arc for i, arc in enumerate(pairs) if (bits >> i) & 1))
+            for bits in range(1 << len(pairs))
+        ]
+        assert same_partition(digraphs, canonical_form, canonical_form_brute)
+
+    def test_null_digraph(self):
+        assert canonical_form(Digraph(0, frozenset())) == 0
+
+    @pytest.mark.parametrize("n", sorted(CLASS_COUNTS))
+    def test_class_counts_match_oeis(self, n):
+        classes = tournament_classes(n)
+        assert len(classes) == CLASS_COUNTS[n]
+        assert sum(is_strong(d) for d in classes) == STRONG_CLASS_COUNTS[n]
+        forms = [canonical_form(d) for d in classes]
+        assert forms == sorted(set(forms))
+        assert forms == [int(encode_arcs_hex(d), 16) for d in classes]
+        assert all(d.arc_count == n * (n - 1) // 2 for d in classes)
+
+    def test_class_range(self):
+        with pytest.raises(CapExceeded):
+            tournament_classes(9)
+        with pytest.raises(PreconditionViolated):
+            tournament_classes(0)
 
 
 class TestRandomGenerators:
@@ -118,18 +169,32 @@ class TestSearchProblem1:
         assert matching
         assert any(not r.properties["two_block"]["4,1"] for r in matching)
 
-    def test_n4_reports_both_pairs(self):
-        hits = search_problem1(4)
+    def test_n5_reports_every_pair(self):
+        hits = search_problem1(5)
+        assert len(hits) == 40
         for rec in hits:
-            assert set(rec.properties["two_block"]) == {"1,3", "2,2", "3,1"}
-            assert rec.properties["chi"] == 4
+            assert set(rec.properties["two_block"]) == {"1,4", "2,3", "3,2", "4,1"}
+            assert rec.properties["chi"] == 5
+
+    def test_n6_has_no_hits(self):
+        assert search_problem1(6) == []
+
+    def test_member_disagreeing_with_its_class_is_an_internal_error(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(harness, "_evaluate_tournament", lambda n, bits: None)
+        with pytest.raises(StructuralViolation):
+            search_problem1(5)
 
     def test_range_check(self):
         with pytest.raises(CapExceeded):
             search_problem1(3)
+        with pytest.raises(CapExceeded):
+            search_problem1(9)
 
     def test_records_reverify(self):
-        hits = search_problem1(4)
+        hits = search_problem1(5)
+        assert hits
         for rec in hits:
             d = rec.digraph()
             assert is_strong(d) == rec.tags["strong"]
@@ -141,15 +206,16 @@ class TestSearchProblem1:
                 assert (not isinstance(found, AbsenceReport)) == verdict
 
     def test_write_records_sorted_and_stable(self, tmp_path):
-        hits = search_problem1(4)
+        hits = search_problem1(5)
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_records(hits, str(out1))
         write_records(reversed(hits), str(out2))
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_worker_pool_output_is_byte_stable(self, tmp_path):
-        serial = search_problem1(4, workers=1)
-        pooled = search_problem1(4, workers=2)
+        serial = search_problem1(5, workers=1)
+        pooled = search_problem1(5, workers=2)
+        assert len(serial) == 40
         out1, out2 = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
         write_records(serial, str(out1))
         write_records(pooled, str(out2))

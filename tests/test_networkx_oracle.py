@@ -4,6 +4,8 @@ this library.  networkx is a test-only dependency; the tests skip without it.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +13,10 @@ from hypothesis import strategies as st
 from twoblock.detection import _two_disjoint_paths, longest_cycle
 from twoblock.digraph import Digraph, is_strong, strong_components
 from twoblock.errors import Acyclic
+from twoblock.harness import canonical_form, tournament_classes
 
 from conftest import digraphs
+from oracles import random_digraph
 
 nx = pytest.importorskip("networkx")
 
@@ -59,3 +63,48 @@ def test_two_disjoint_paths_matches_networkx(d, data):
     except nx.NetworkXNoPath:
         count = 0
     assert _two_disjoint_paths(d.out_mask, d.in_mask, u, v, region) == (count >= 2)
+
+
+def relabel(d: Digraph, rng: random.Random) -> Digraph:
+    perm = rng.sample(range(d.n), d.n)
+    return Digraph(d.n, frozenset((perm[t], perm[h]) for t, h in d.arcs))
+
+
+def random_tournament(rng: random.Random, n: int) -> Digraph:
+    return Digraph(n, frozenset(
+        (i, j) if rng.random() < 0.5 else (j, i)
+        for i in range(n) for j in range(i + 1, n)
+    ))
+
+
+def test_canonical_form_matches_networkx_isomorphism():
+    # Pairs of random tournaments and of random digraphs of three densities;
+    # every digraph is also compared with a random relabeling of itself.
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(1500):
+        n = rng.randint(0, 7)
+        if rng.random() < 0.5:
+            a, b = random_tournament(rng, n), random_tournament(rng, n)
+        else:
+            p = rng.choice((0.2, 0.5, 0.8))
+            a, b = random_digraph(rng, n, p), random_digraph(rng, n, p)
+        assert canonical_form(relabel(a, rng)) == canonical_form(a)
+        same = nx.is_isomorphic(to_nx(a), to_nx(b))
+        assert (canonical_form(a) == canonical_form(b)) == same
+        outcomes.add(same)
+    assert outcomes == {True, False}
+
+
+def test_canonical_form_on_relabeled_7_tournament_classes():
+    # Both digraphs are random relabelings of class representatives, half of
+    # them of the same class, so that classes whose refined partition keeps
+    # vertices of different orbits in one cell are reached.
+    rng = random.Random(12)
+    classes = tournament_classes(7)
+    for _ in range(1000):
+        a = rng.choice(classes)
+        b = a if rng.random() < 0.5 else rng.choice(classes)
+        a, b = relabel(a, rng), relabel(b, rng)
+        same = nx.is_isomorphic(to_nx(a), to_nx(b))
+        assert (canonical_form(a) == canonical_form(b)) == same
