@@ -8,7 +8,18 @@ two arcs run in opposite directions, not from ``u`` to ``v`` twice.
 Exhaustive and heuristic detection, the longest cycle and the Hamiltonian
 cycle all run on one iterative path kernel, ``_paths``, which yields the
 simple u->v paths (or the cycles through u) of a given minimum length in
-depth-first order and prunes with bitmask reachability.  Arc-anchored
+depth-first order and prunes with bitmask reachability.  Once the length
+bound can no longer cut a branch, the kernel only asks whether the target
+is still reachable, and that test (``reach_mask`` with ``stop``, also
+used by the Menger gate) stops at the first sight of it.  Exhaustive pair search
+follows a first-step rule: a first path that leaves u by x is paired only
+with second paths that leave u by some y > x, and no first path leaves u
+by its largest out-neighbour.  The first path in lexicographic order that
+has a partner always has all its partners above it: a partner leaving u
+by a smaller vertex would come first and pair with it whatever the
+lengths, so the search would have stopped there.  The certificate and
+``pairs_checked`` are therefore unchanged (see ``_pair_search``).
+Heuristic mode shuffles its order and is exempt.  Arc-anchored
 detection enumerates its first paths with ``_walks``, a plain preorder path
 enumerator, and finds each second path with ``_paths``.  Neither recurses,
 so path length is not bounded by the interpreter's recursion limit.  The
@@ -178,15 +189,19 @@ def _paths(
     min_len: int,
     rng: random.Random | None = None,
     budget: list[int] | None = None,
+    first: int = -1,
 ) -> Iterator[list[int]]:
-    """Every simple u->v path inside ``allowed`` with at least ``min_len`` arcs.
+    """Every simple u->v path inside ``allowed`` with at least ``min_len`` arcs
+    whose first step lies in ``first``.
 
     Paths come in depth-first order with out-neighbours ascending (shuffled
     by ``rng`` when given), each as the live vertex list without ``v``; with
     ``u == v`` they are the cycles through ``u``.  A branch is cut once ``v``
     becomes unreachable or too few vertices remain to reach ``min_len``.
-    Every expanded vertex costs one unit of ``budget``; once it is spent no
-    further vertex is expanded.
+    The count of remaining vertices needs the full reachable set, so it is
+    taken only while the length bound can still cut; after that the test
+    stops at the first sight of ``v``.  Every expanded vertex costs one
+    unit of ``budget``; once it is spent no further vertex is expanded.
     """
     co = reach_mask(in_mask, v, allowed)
     if not (co >> u) & 1:
@@ -202,7 +217,7 @@ def _paths(
     # ``used`` the path's vertices; ``stack`` saves both for every earlier
     # vertex.  ``v`` stays a candidate even when used, which closes the
     # cycles through ``u == v``.
-    todo = _order(out_mask[u] & allowed & (~used | vbit), rng)
+    todo = _order(out_mask[u] & allowed & (~used | vbit) & first, rng)
     stack = []
     while True:
         for x in todo:
@@ -214,10 +229,14 @@ def _paths(
                 continue
             low = 1 << x
             new_used = used | low
-            rx = reach_mask(out_mask, x, (allowed & ~new_used) | low | vbit)
-            if not rx & vbit:
-                continue
-            if len(path) + (rx & co & ~low).bit_count() < min_len:
+            inside = (allowed & ~new_used) | low | vbit
+            if len(path) + 1 < min_len:
+                rx = reach_mask(out_mask, x, inside)
+                if not rx & vbit:
+                    continue
+                if len(path) + (rx & co & ~low).bit_count() < min_len:
+                    continue
+            elif not reach_mask(out_mask, x, inside, vbit) & vbit:
                 continue
             if budget is not None:
                 if budget[0] <= 0:
@@ -269,20 +288,22 @@ def _second_path(
     kk: int,
     ll: int,
     budget: list[int] | None = None,
+    first: int = -1,
 ) -> tuple[int, ...] | None:
     """A u->v path inside ``allowed`` to pair with a first path, or None.
 
     ``allowed`` excludes the interior of the first path, which has
     ``first_len`` arcs; the second path is long enough for the two to cover
-    the (kk, ll) roles, kk >= ll.  A first path of one arc needs a second
-    path of two.
+    the (kk, ll) roles, kk >= ll, and its first step lies in ``first``.  A
+    first path of one arc needs a second path of two.
     """
     if first_len < ll:
         return None
     target = kk if first_len < kk else ll
     if first_len == 1:
         target = max(target, 2)
-    q = next(_paths(out_mask, in_mask, u, v, allowed, target, budget=budget), None)
+    paths = _paths(out_mask, in_mask, u, v, allowed, target, budget=budget, first=first)
+    q = next(paths, None)
     return None if q is None else (*q, v)
 
 
@@ -296,13 +317,36 @@ def _pair_search(
     rng: random.Random | None = None,
     budget: list[int] | None = None,
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Two disjoint u->v paths with lengths covering (kk, ll), kk >= ll."""
+    """Two disjoint u->v paths with lengths covering (kk, ll), kk >= ll.
+
+    The first path is the first in ``_paths`` order that has a second path,
+    and the second path is the first such in the same order.  Without
+    ``rng`` that order is lexicographic, and the search follows a
+    first-step rule: when the first path leaves u by x, its second path is
+    sought only among paths that leave u by some y > x, and no first path
+    leaves u by u's largest out-neighbour in ``region``.  The answer is
+    unchanged, because a pair {A, B} is always found at whichever of A and
+    B comes first.  Two internally disjoint paths leave u by different
+    vertices; if B left by a smaller vertex than A, B would come first and
+    would pair with A whatever the lengths, so the search would have
+    stopped at B.  A shuffled (heuristic) order has no such rule.
+    """
     out_mask, in_mask = d.out_mask, d.in_mask
-    for path in _paths(out_mask, in_mask, u, v, region, ll, rng, budget):
+    exhaustive = rng is None
+    first = above = -1
+    if exhaustive:
+        steps = out_mask[u] & region
+        first = steps ^ (1 << steps.bit_length() >> 1)  # all but the largest
+    for path in _paths(out_mask, in_mask, u, v, region, ll, rng, budget, first):
         allowed = region
         for x in path[1:]:
             allowed &= ~(1 << x)
-        q = _second_path(out_mask, in_mask, u, v, allowed, len(path), kk, ll, budget)
+        if exhaustive:
+            step = path[1] if len(path) > 1 else v
+            above = ~((2 << step) - 1)
+        q = _second_path(
+            out_mask, in_mask, u, v, allowed, len(path), kk, ll, budget, above
+        )
         if q is not None:
             return (*path, v), q
     return None
@@ -316,14 +360,16 @@ def _two_disjoint_paths(
     By Menger's theorem this holds iff v is reachable from u and no single
     vertex of ``region`` other than u and v separates them.  With the arc
     u->v present, the arc is one path and the other needs an interior vertex.
+    Each reachability test stops as soon as it meets its target.
     """
     ubit, vbit = 1 << u, 1 << v
     if (out_mask[u] >> v) & 1:
-        return bool(reach_mask(out_mask, u, region & ~vbit) & ~ubit & in_mask[v])
-    if not reach_mask(out_mask, u, region) & vbit:
+        others = in_mask[v] & ~ubit
+        return bool(reach_mask(out_mask, u, region & ~vbit, others) & others)
+    if not reach_mask(out_mask, u, region, vbit) & vbit:
         return False
     for w in iter_bits(region & ~ubit & ~vbit):
-        if not reach_mask(out_mask, u, region & ~(1 << w)) & vbit:
+        if not reach_mask(out_mask, u, region & ~(1 << w), vbit) & vbit:
             return False
     return True
 

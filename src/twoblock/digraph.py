@@ -31,15 +31,20 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def reach_mask(adj: tuple[int, ...], start: int, allowed: int) -> int:
+def reach_mask(
+    adj: tuple[int, ...], start: int, allowed: int, stop: int = 0
+) -> int:
     """Vertices reachable from ``start`` inside ``allowed``, including ``start``.
 
     ``adj[v]`` is the neighbor bitmask of ``v``; pass out-masks for forward
-    reachability and in-masks for backward (co-)reachability.
+    reachability and in-masks for backward (co-)reachability.  With ``stop``
+    the search ends at the first breadth-first layer that meets ``stop``, so
+    the result is then only part of the reachable set, but it meets ``stop``
+    exactly when the whole set does.
     """
     seen = (1 << start) & allowed
     frontier = seen
-    while frontier:
+    while frontier and not frontier & stop:
         nxt = 0
         m = frontier
         while m:

@@ -100,22 +100,20 @@ class InstanceRecord:
 def enumerate_tournaments(n: int, *, dedup: bool = False) -> Iterator[Digraph]:
     """All labeled tournaments on ``n`` vertices, in bitmask order.
 
-    With ``dedup`` only the first representative of each isomorphism class is
-    yielded (feasible for small ``n``; the canonical form is exact).
+    With ``dedup`` only the first representative of each isomorphism class
+    in that order is yielded: the least bit pattern among the members of
+    each of the ``tournament_classes(n)``.
     """
     if n > TOURNAMENT_CAP:
         raise CapExceeded(f"tournament enumeration needs n <= {TOURNAMENT_CAP}")
     if n < 1:
         raise PreconditionViolated("need n >= 1")
-    seen: set[int] = set()
-    for bits in range(1 << (n * (n - 1) // 2)):
-        d = _tournament(n, bits)
-        if dedup:
-            canon = canonical_form(d)
-            if canon in seen:
-                continue
-            seen.add(canon)
-        yield d
+    if dedup:
+        patterns = sorted(_members(d)[0] for d in tournament_classes(n))
+    else:
+        patterns = range(1 << (n * (n - 1) // 2))
+    for bits in patterns:
+        yield _tournament(n, bits)
 
 
 def _tournament(n: int, bits: int) -> Digraph:
@@ -427,25 +425,32 @@ def _evaluate_tournament(n: int, bits: int) -> InstanceRecord | None:
     )
 
 
-def _class_hits(d: Digraph) -> list[InstanceRecord]:
-    """Records of every labeled member of ``d``'s class, or none when ``d``
-    is not strong or contains every ``c(k, ell)`` with ``k + ell = n``.
-
-    The members are the ``n!`` relabelings of ``d``, each recorded by its
-    ``_tournament`` bit pattern.
-    """
-    if not is_strong(d) or all(found for _, _, found in _pair_verdicts(d)):
-        return []
+def _members(d: Digraph) -> list[int]:
+    """The ``_tournament`` bit patterns of the ``n!`` relabelings of the
+    tournament ``d``, ascending and without repeats."""
     n = d.n
     pair_bit = {
         (i, j): 1 << idx
         for idx, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n))
     }
-    members = {
-        sum(pair_bit.get((perm[t], perm[h]), 0) for t, h in d.arcs)
-        for perm in permutations(range(n))
-    }
-    records = [_evaluate_tournament(n, bits) for bits in sorted(members)]
+    return sorted(
+        {
+            sum(pair_bit.get((perm[t], perm[h]), 0) for t, h in d.arcs)
+            for perm in permutations(range(n))
+        }
+    )
+
+
+def _class_hits(d: Digraph) -> list[InstanceRecord]:
+    """Records of every labeled member of ``d``'s class, or none when ``d``
+    is not strong or contains every ``c(k, ell)`` with ``k + ell = n``.
+
+    The members are the relabelings of ``d`` (``_members``), each recorded
+    by its ``_tournament`` bit pattern.
+    """
+    if not is_strong(d) or all(found for _, _, found in _pair_verdicts(d)):
+        return []
+    records = [_evaluate_tournament(d.n, bits) for bits in _members(d)]
     if None in records:
         raise StructuralViolation(
             f"a relabeling of class {encode_arcs_hex(d)} got other verdicts"

@@ -56,6 +56,32 @@ def two_block_pairs(d: Digraph, u: int, v: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def first_pair_search(
+    d: Digraph, u: int, v: int, kk: int, ll: int
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The first u->v path in lexicographic order with at least ``ll`` arcs
+    that has a second path, and its first second path in the same order.
+
+    A second path is another u->v path, internally disjoint from the first,
+    such that the longer of the two has at least ``kk`` arcs and the shorter
+    at least ``ll`` (kk >= ll).
+    """
+    paths = sorted(all_simple_paths(d, u, v))
+    for p in paths:
+        if len(p) - 1 < ll:
+            continue
+        for q in paths:
+            lp, lq = len(p) - 1, len(q) - 1
+            if (
+                q != p
+                and not set(p[1:-1]) & set(q[1:-1])
+                and max(lp, lq) >= kk
+                and min(lp, lq) >= ll
+            ):
+                return p, q
+    return None
+
+
 def oracle_two_block(d: Digraph, k: int, ell: int) -> bool:
     lo, hi = min(k, ell), max(k, ell)
     for u in range(d.n):

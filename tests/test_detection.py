@@ -47,6 +47,7 @@ from oracles import (
     all_cycles,
     all_simple_paths,
     cycles_through,
+    first_pair_search,
     oracle_longest_cycle_length,
     oracle_two_block,
     random_digraph,
@@ -207,6 +208,36 @@ def test_path_kernel_matches_oracle(d, rng):
                 assert got == expected
             shuffled = _paths(d.out_mask, d.in_mask, u, v, full, 0, rng=rng)
             assert sorted((*p, v) for p in shuffled) == sorted(paths)
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs(min_n=2, max_n=7))
+def test_exhaustive_pair_search_matches_oracle(d):
+    # The first-step rule skips work only: the first pair in lexicographic
+    # order, and its first second path, are those of the unpruned search.
+    n = d.n
+    for u in range(n):
+        for v in range(n):
+            if u == v or not gate(d, u, v):
+                continue
+            region = full_region(d, u, v)
+            for kk in range(1, n):
+                for ll in range(1, min(kk, n - kk) + 1):
+                    expected = first_pair_search(d, u, v, kk, ll)
+                    assert _pair_search(d, u, v, region, kk, ll) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs(max_n=7), st.data())
+def test_reach_mask_stop_matches_full_search(d, data):
+    start = data.draw(st.integers(0, d.n - 1))
+    allowed = data.draw(st.integers(0, (1 << d.n) - 1))
+    stop = data.draw(st.integers(0, (1 << d.n) - 1))
+    for adj in (d.out_mask, d.in_mask):
+        full = reach_mask(adj, start, allowed)
+        part = reach_mask(adj, start, allowed, stop)
+        assert part & ~full == 0
+        assert bool(part & stop) == bool(full & stop)
 
 
 def preorder_walks(adj, start, allowed):

@@ -91,6 +91,11 @@ class TestEnumerateTournaments:
             first.setdefault(canonical_form_brute(d), d)
         assert list(enumerate_tournaments(n, dedup=True)) == list(first.values())
 
+    def test_dedup_n6_gives_one_tournament_per_class(self):
+        reps = list(enumerate_tournaments(6, dedup=True))
+        assert len(reps) == 56
+        assert len({canonical_form(d) for d in reps}) == 56
+
 
 class TestCanonicalForm:
     def test_all_4_vertex_digraphs_match_brute_force(self):

@@ -6,10 +6,13 @@ to the benchmark corpora, not a refactoring."""
 from __future__ import annotations
 
 import hashlib
+import json
+import random
 
 import pytest
 
 from twoblock.coloring import Coloring, chromatic_number, k_colorable
+from twoblock.detection import find_two_block_cycle
 from twoblock.digraph import Digraph, UGraph, underlying_graph
 from twoblock.harness import (
     audit_bw_claim,
@@ -19,6 +22,8 @@ from twoblock.harness import (
     search_problem1,
     write_records,
 )
+
+from oracles import random_digraph
 
 
 def _sha256(data: bytes) -> str:
@@ -120,3 +125,30 @@ def test_chromatic_number_colorings(fig1):
         5, Coloring((0, 1, 2, 3, 4), 5)
     )
     assert k_colorable(underlying_graph(fig1), 4) is None
+
+
+# (k, ell) points of the detection digest: both role orders, and the
+# balanced points (3, 3) and (4, 4).
+DETECTION_POINTS = [
+    (1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 2), (3, 3), (4, 2), (4, 4)
+]
+
+
+def test_detection_results_digest():
+    # Exhaustive and heuristic results on 2,000 seeded random digraphs with
+    # 1 to 9 vertices; heuristic mode is forced by a cap one below n.
+    digest = hashlib.sha256()
+    for seed in range(2000):
+        rng = random.Random(seed)
+        d = random_digraph(rng, rng.randint(1, 9), rng.choice((0.2, 0.35, 0.5, 0.7)))
+        for k, ell in DETECTION_POINTS:
+            exact = find_two_block_cycle(d, k, ell)
+            capped = find_two_block_cycle(
+                d, k, ell, cap=d.n - 1, strict=False, seed=seed
+            )
+            for result in (exact, capped):
+                line = json.dumps(result.to_json_dict(), sort_keys=True)
+                digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "8959a7c350810bff5d7086a90f48fa44e64c8819c621477a43610a499dc9eafd"
+    )
