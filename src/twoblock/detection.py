@@ -17,17 +17,23 @@ with second paths that leave u by some y > x, and no first path leaves u
 by its largest out-neighbour.  The first path in lexicographic order that
 has a partner always has all its partners above it: a partner leaving u
 by a smaller vertex would come first and pair with it whatever the
-lengths, so the search would have stopped there.  The certificate and
-``pairs_checked`` are therefore unchanged (see ``_pair_search``).
-Heuristic mode shuffles its order and is exempt.  Arc-anchored
-detection enumerates its first paths with ``_walks``, a plain preorder path
-enumerator, and finds each second path with ``_paths``.  Neither recurses,
-so path length is not bounded by the interpreter's recursion limit.  The
-searches are exponential, but the pruning keeps exhaustive proofs
-comfortable at desk scale.  Beyond the cap, strict mode refuses; heuristic
-mode runs the same search under an expansion budget (detection also in a
-random order over a sample of pairs), so its negatives are tagged as
-unverified and its longest cycle is not certified longest.
+lengths, so the search would have stopped there.  It also follows a
+partner cut: a partial first path is not extended once no second path of
+``ll`` arcs that leaves u above its first step can avoid it.  Such a second
+path's vertices after u are reached from u's out-neighbours above the step
+and reach v, both off the partial path, so fewer than ``ll`` such vertices
+rule it out for every completion.  The certificate and ``pairs_checked``
+are therefore unchanged (see ``_pair_search``).  Heuristic mode is exempt
+from both rules: it shuffles its order, and its budget and random stream
+are pinned.  Arc-anchored detection enumerates its first paths with
+``_walks``, a plain preorder path enumerator, and finds each second path
+with ``_paths``.  Neither recurses, so path length is not bounded by the
+interpreter's recursion limit.  The searches are exponential, but the
+pruning keeps exhaustive proofs comfortable at desk scale.  Beyond the
+cap, strict mode refuses; heuristic mode runs the same search under an
+expansion budget (detection also in a random order over a sample of
+pairs), so its negatives are tagged as unverified and its longest cycle is
+not certified longest.
 """
 
 from __future__ import annotations
@@ -190,6 +196,7 @@ def _paths(
     rng: random.Random | None = None,
     budget: list[int] | None = None,
     first: int = -1,
+    partner: int = 0,
 ) -> Iterator[list[int]]:
     """Every simple u->v path inside ``allowed`` with at least ``min_len`` arcs
     whose first step lies in ``first``.
@@ -200,8 +207,11 @@ def _paths(
     becomes unreachable or too few vertices remain to reach ``min_len``.
     The count of remaining vertices needs the full reachable set, so it is
     taken only while the length bound can still cut; after that the test
-    stops at the first sight of ``v``.  Every expanded vertex costs one
-    unit of ``budget``; once it is spent no further vertex is expanded.
+    stops at the first sight of ``v``.  With ``partner`` > 0 a branch is
+    also cut once no u->v path of ``partner`` arcs whose first step lies
+    above the branch's can avoid it (``_no_partner``).  Every expanded
+    vertex costs one unit of ``budget``; once it is spent no further vertex
+    is expanded.
     """
     co = reach_mask(in_mask, v, allowed)
     if not (co >> u) & 1:
@@ -210,6 +220,9 @@ def _paths(
         if budget[0] <= 0:
             return
         budget[0] -= 1
+    # A path of min_len arcs has min_len + 1 vertices in ``co``, a cycle min_len.
+    if co.bit_count() + (u == v) <= min_len:
+        return
     vbit = 1 << v
     path = [u]
     used = 1 << u
@@ -236,7 +249,15 @@ def _paths(
                     continue
                 if len(path) + (rx & co & ~low).bit_count() < min_len:
                     continue
-            elif not reach_mask(out_mask, x, inside, vbit) & vbit:
+            elif not (
+                out_mask[x] & vbit or reach_mask(out_mask, x, inside, vbit) & vbit
+            ):
+                continue
+            # -(2 << s) holds the vertices above the first step s.
+            if partner and _no_partner(
+                out_mask, in_mask, u, v, allowed & ~new_used,
+                -(2 << (path[1] if len(path) > 1 else x)), partner,
+            ):
                 continue
             if budget is not None:
                 if budget[0] <= 0:
@@ -252,6 +273,38 @@ def _paths(
                 return
             todo, used = stack.pop()
             path.pop()
+
+
+def _no_partner(
+    out_mask: tuple[int, ...],
+    in_mask: tuple[int, ...],
+    u: int,
+    v: int,
+    free: int,
+    above: int,
+    ll: int,
+) -> bool:
+    """True when fewer than ``ll`` vertices of ``free`` (which holds v) both
+    reach v inside ``free`` (``co``) and are reached inside it from u's
+    out-neighbours in ``above``: then no u->v path of ``ll`` arcs leaves u
+    by ``above`` with its later vertices in ``free``.  Each vertex of ``co``
+    reaches v, so that set is the closure of the starts inside ``co``, and
+    it holds v as soon as it holds a start.
+    """
+    co = reach_mask(in_mask, v, free)
+    if co.bit_count() < ll:
+        return True
+    seen = frontier = out_mask[u] & co & above
+    while frontier and seen.bit_count() < ll:
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            nxt |= out_mask[low.bit_length() - 1]
+            m ^= low
+        frontier = nxt & co & ~seen
+        seen |= frontier
+    return seen.bit_count() < ll
 
 
 def _walks(
@@ -297,7 +350,7 @@ def _second_path(
     the (kk, ll) roles, kk >= ll, and its first step lies in ``first``.  A
     first path of one arc needs a second path of two.
     """
-    if first_len < ll:
+    if first_len < ll or not out_mask[u] & allowed & first:
         return None
     target = kk if first_len < kk else ll
     if first_len == 1:
@@ -329,7 +382,21 @@ def _pair_search(
     B comes first.  Two internally disjoint paths leave u by different
     vertices; if B left by a smaller vertex than A, B would come first and
     would pair with A whatever the lengths, so the search would have
-    stopped at B.  A shuffled (heuristic) order has no such rule.
+    stopped at B.
+
+    The same search also cuts a partial first path u ... x as soon as no
+    partner can exist off it (``_paths`` with ``partner=ll``).  Let F be
+    ``region`` without the partial path, plus v; let ``fr`` be the vertices
+    that u's out-neighbours above the first step reach inside F, and ``co``
+    those of F that reach v inside F.  The branch is cut when v is not in
+    ``fr`` or fewer than ``ll`` vertices lie in both.  Every completion's
+    partner leaves u above the first step and avoids the partial path, so
+    its vertices after u, at least ``ll`` of them, lie in ``fr & co``: a cut
+    branch holds no first path with a partner.  First paths still come in
+    the same order, so the answer is unchanged.
+
+    Heuristic mode (``rng`` given) follows neither rule: its shuffled order
+    has no first-step argument, and its budget and RNG stream are pinned.
     """
     out_mask, in_mask = d.out_mask, d.in_mask
     exhaustive = rng is None
@@ -337,7 +404,10 @@ def _pair_search(
     if exhaustive:
         steps = out_mask[u] & region
         first = steps ^ (1 << steps.bit_length() >> 1)  # all but the largest
-    for path in _paths(out_mask, in_mask, u, v, region, ll, rng, budget, first):
+    partner = ll if exhaustive else 0
+    for path in _paths(
+        out_mask, in_mask, u, v, region, ll, rng, budget, first, partner
+    ):
         allowed = region
         for x in path[1:]:
             allowed &= ~(1 << x)

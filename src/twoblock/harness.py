@@ -429,15 +429,14 @@ def _members(d: Digraph) -> list[int]:
     """The ``_tournament`` bit patterns of the ``n!`` relabelings of the
     tournament ``d``, ascending and without repeats."""
     n = d.n
-    pair_bit = {
-        (i, j): 1 << idx
-        for idx, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n))
-    }
+    # bit[i][j] is the pattern bit that the arc i -> j sets: that of the
+    # pair (i, j) when i < j, none otherwise.
+    bit = [[0] * n for _ in range(n)]
+    for idx, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
+        bit[i][j] = 1 << idx
+    arcs = tuple(d.arcs)
     return sorted(
-        {
-            sum(pair_bit.get((perm[t], perm[h]), 0) for t, h in d.arcs)
-            for perm in permutations(range(n))
-        }
+        {sum(bit[perm[t]][perm[h]] for t, h in arcs) for perm in permutations(range(n))}
     )
 
 

@@ -152,3 +152,32 @@ def test_detection_results_digest():
     assert digest.hexdigest() == (
         "8959a7c350810bff5d7086a90f48fa44e64c8819c621477a43610a499dc9eafd"
     )
+
+
+# (k, ell) points of the corpus digest: from the easiest to the balanced
+# (4, 4), whose negatives are the slowest exhaustive proofs of the corpus.
+CORPUS_POINTS = [(2, 1), (3, 2), (3, 3), (4, 3), (4, 4)]
+
+
+def test_corpus_detection_digest():
+    # Exhaustive results on the 64 criterion-5 corpus digraphs at cap 14, the
+    # inputs of the benchmark's pipeline workload before their relabeling.
+    digest = hashlib.sha256()
+    count, i = 0, 0
+    while count < 64:
+        k = 2 + (i % 3)
+        ell = 1 + ((i // 3) % k)
+        n = 6 + (i % 9)
+        i += 1
+        if n < max(2 * k - 2, k + ell + 1):
+            continue
+        maker = random_cycle_tree_free if i % 2 else random_strong_ckl_free
+        d = maker(n, k, ell, seed=3000 + i, cap=14)
+        count += 1
+        for kp, ellp in CORPUS_POINTS:
+            result = find_two_block_cycle(d, kp, ellp, cap=14)
+            line = json.dumps(result.to_json_dict(), sort_keys=True)
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "587122a068417626c3758a83ea3057585db00710f2f27605a6b598183cad398a"
+    )
