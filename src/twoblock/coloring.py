@@ -3,7 +3,9 @@
 These serve double duty: the contraction pipeline asks "is this digraph
 (2k-3)-colorable?" at every step, and the test harness uses the same solvers
 as verification oracles.  Everything here is exact; instances beyond the cap
-raise :class:`CapExceeded` instead of silently approximating.
+raise :class:`CapExceeded` instead of silently approximating.  Within the cap
+an exact clique search refutes colorability before any backtracking; above it
+only the greedy clique bound does.
 """
 
 from __future__ import annotations
@@ -74,6 +76,29 @@ def _greedy_clique(g: UGraph) -> list[int]:
     return clique
 
 
+def _clique_of_size(g: UGraph, size: int) -> list[int] | None:
+    """A clique of ``size`` vertices, or ``None`` when ``g`` has none; exact.
+
+    Branch and bound over (clique, candidates) bitmasks: the lowest candidate
+    is either added, which keeps only its neighbours as candidates, or
+    dropped.  A branch ends once its candidates cannot fill the clique, and
+    the search ends at the first clique of ``size`` vertices.
+    """
+    adj = g.adj_mask
+    stack = [(0, (1 << g.n) - 1)]
+    while stack:
+        clique, cand = stack.pop()
+        need = size - clique.bit_count()
+        if need <= 0:
+            return list(iter_bits(clique))
+        if cand.bit_count() < need:
+            continue
+        low = cand & -cand
+        stack.append((clique, cand ^ low))
+        stack.append((clique | low, cand & adj[low.bit_length() - 1]))
+    return None
+
+
 def _dsatur_greedy(g: UGraph) -> Coloring:
     # Saturation-first greedy; an upper bound, exact only by luck.
     n = g.n
@@ -119,8 +144,11 @@ def _two_color(g: UGraph) -> Coloring | None:
 def k_colorable(g: UGraph, c: int, *, cap: int | None = None) -> Coloring | None:
     """Exact test: a proper coloring with at most ``c`` colors, or ``None``.
 
-    Shortcut paths (no edges, ``c >= n``, bipartite, clique refusal, greedy
-    success) work at any size; the backtracking core is capped.
+    Shortcut paths (no edges, ``c >= n``, bipartite, greedy clique refusal,
+    greedy success) work at any size.  Within the cap, an exact search for a
+    clique of ``c + 1`` vertices refuses next, and only then does the
+    backtracking core run.  The clique search only ever refuses, so every
+    coloring returned is the one the backtracking finds.
     """
     if c < 0:
         raise PreconditionViolated("palette size must be nonnegative")
@@ -146,6 +174,8 @@ def k_colorable(g: UGraph, c: int, *, cap: int | None = None) -> Coloring | None
     cap = DEFAULT_COLOR_CAP if cap is None else cap
     if n > cap:
         raise CapExceeded(f"exact {c}-colorability needs n <= {cap}, got {n}")
+    if _clique_of_size(g, c + 1) is not None:
+        return None
     return _color_backtrack(g, c, clique)
 
 

@@ -430,17 +430,33 @@ def _two_disjoint_paths(
     By Menger's theorem this holds iff v is reachable from u and no single
     vertex of ``region`` other than u and v separates them.  With the arc
     u->v present, the arc is one path and the other needs an interior vertex.
-    Each reachability test stops as soon as it meets its target.
+    Otherwise a separating vertex lies on every u->v path, so only the
+    interior of one shortest path, traced back through the breadth-first
+    layers from u, is tested.  Each reachability test stops as soon as it
+    meets its target.
     """
     ubit, vbit = 1 << u, 1 << v
     if (out_mask[u] >> v) & 1:
         others = in_mask[v] & ~ubit
         return bool(reach_mask(out_mask, u, region & ~vbit, others) & others)
-    if not reach_mask(out_mask, u, region, vbit) & vbit:
-        return False
-    for w in iter_bits(region & ~ubit & ~vbit):
-        if not reach_mask(out_mask, u, region & ~(1 << w), vbit) & vbit:
+    layers = []
+    seen = frontier = ubit
+    while not frontier & vbit:
+        if not frontier:
             return False
+        layers.append(frontier)
+        nxt = 0
+        for x in iter_bits(frontier):
+            nxt |= out_mask[x]
+        frontier = nxt & region & ~seen
+        seen |= frontier
+    x = v
+    for layer in reversed(layers[1:]):
+        back = in_mask[x] & layer
+        wbit = back & -back
+        if not reach_mask(out_mask, u, region & ~wbit, vbit) & vbit:
+            return False
+        x = wbit.bit_length() - 1
     return True
 
 

@@ -178,6 +178,36 @@ def test_gate_matches_oracle(d):
                 assert gate(d, u, v) == bool(two_block_pairs(d, u, v))
 
 
+def reaches(d, u, v, allowed, skip_arc=False):
+    # Plain depth-first search over vertex sets; ``skip_arc`` ignores u->v.
+    seen, stack = {u}, [u]
+    while stack:
+        x = stack.pop()
+        for t, h in d.arcs:
+            if t == x and h in allowed and h not in seen:
+                if skip_arc and (t, h) == (u, v):
+                    continue
+                seen.add(h)
+                stack.append(h)
+    return v in seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs(min_n=2, max_n=8), st.data())
+def test_gate_matches_single_vertex_cut_check(d, data):
+    u, v = data.draw(st.permutations(range(d.n)))[:2]
+    region = data.draw(st.integers(0, (1 << d.n) - 1)) | (1 << u) | (1 << v)
+    inside = {x for x in range(d.n) if (region >> x) & 1}
+    if (u, v) in d.arcs:
+        # The arc is one path; the other needs an interior vertex.
+        expected = reaches(d, u, v, inside, skip_arc=True)
+    else:
+        expected = reaches(d, u, v, inside) and all(
+            reaches(d, u, v, inside - {w}) for w in inside - {u, v}
+        )
+    assert _two_disjoint_paths(d.out_mask, d.in_mask, u, v, region) == expected
+
+
 @settings(max_examples=100, deadline=None)
 @given(digraphs(min_n=2, max_n=6))
 def test_rejected_pairs_have_no_pair_search_result(d):
