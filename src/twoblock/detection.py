@@ -25,10 +25,12 @@ and reach v, both off the partial path, so fewer than ``ll`` such vertices
 rule it out for every completion.  The certificate and ``pairs_checked``
 are therefore unchanged (see ``_pair_search``).  Heuristic mode is exempt
 from both rules: it shuffles its order, and its budget and random stream
-are pinned.  Arc-anchored detection enumerates its first paths with
-``_walks``, a plain preorder path enumerator, and finds each second path
-with ``_paths``.  Neither recurses, so path length is not bounded by the
-interpreter's recursion limit.  The searches are exponential, but the
+are pinned.  Arc-anchored detection searches one oriented cycle through
+the new arc a->b: forward from b, backward along the second path, then
+forward to a with ``_paths`` (see ``find_two_block_cycle_through_arc``).
+No search recurses, so path length is not bounded by the interpreter's
+recursion limit.  ``verify_certificate`` re-checks every certificate on
+bitmasks, with code of its own.  The searches are exponential, but the
 pruning keeps exhaustive proofs comfortable at desk scale.  Beyond the
 cap, strict mode refuses; heuristic mode runs the same search under an
 expansion budget (detection also in a random order over a sample of
@@ -49,7 +51,6 @@ from .digraph import (
     cycle_segment,
     is_strong,
     iter_bits,
-    path_in,
     reach_mask,
 )
 from .errors import (
@@ -132,21 +133,42 @@ class CrossingException:
 def verify_certificate(
     d: Digraph, cert: TwoBlockCertificate, k: int, ell: int
 ) -> bool:
-    """True iff ``cert`` really witnesses ``c(k, ell)`` inside ``d``."""
-    a, b = cert.path_a, cert.path_b
-    if cert.u == cert.v:
+    """True iff ``cert`` really witnesses ``c(k, ell)`` inside ``d``.
+
+    The check reads the vertex tuples and ``d.out_mask`` only.  Every vertex
+    must lie in ``0 .. n-1`` (tested first, so no later test indexes or
+    shifts by a bad vertex); both paths run from ``u`` to ``v != u``; they
+    differ; each is simple (its vertex mask has one bit per vertex); they
+    share no vertex but ``u`` and ``v``; ``path_a`` has at least ``k`` arcs
+    and ``path_b`` at least ``ell``; and every arc is in ``d``.
+    """
+    n, u, v = d.n, cert.u, cert.v
+    p, q = cert.path_a.vertices, cert.path_b.vertices
+    pmask = qmask = 0
+    for x in p:
+        if not 0 <= x < n:
+            return False
+        pmask |= 1 << x
+    for x in q:
+        if not 0 <= x < n:
+            return False
+        qmask |= 1 << x
+    if u == v or not p or not q:
         return False
-    if a.start != cert.u or b.start != cert.u:
+    if p[0] != u or q[0] != u or p[-1] != v or q[-1] != v or p == q:
         return False
-    if a.end != cert.v or b.end != cert.v:
+    if pmask.bit_count() != len(p) or qmask.bit_count() != len(q):
         return False
-    if a.vertices == b.vertices:
+    if pmask & qmask != (1 << u) | (1 << v):
         return False
-    if a.interior() & b.interior():
+    if len(p) - 1 < k or len(q) - 1 < ell:
         return False
-    if a.length < k or b.length < ell:
-        return False
-    return path_in(d, a) and path_in(d, b)
+    out_mask = d.out_mask
+    for path in (p, q):
+        for i in range(len(path) - 1):
+            if not (out_mask[path[i]] >> path[i + 1]) & 1:
+                return False
+    return True
 
 
 def _certificate(
@@ -307,28 +329,20 @@ def _no_partner(
     return seen.bit_count() < ll
 
 
-def _walks(
-    adj: tuple[int, ...], start: int, allowed: int
-) -> Iterator[tuple[list[int], int]]:
-    """Every simple path from ``start`` along ``adj`` inside ``allowed``.
-
-    Paths come in preorder with neighbours ascending, each as the live vertex
-    list with the bitmask of its vertices; the first is ``[start]`` alone.
-    """
-    path = [start]
-    used = 1 << start
-    stack = [iter_bits(adj[start] & allowed & ~used)]
-    yield path, used
-    while stack:
-        for x in stack[-1]:
-            path.append(x)
-            used |= 1 << x
-            yield path, used
-            stack.append(iter_bits(adj[x] & allowed & ~used))
-            break
-        else:
-            stack.pop()
-            used &= ~(1 << path.pop())
+def _closure(adj: tuple[int, ...], seen: int, allowed: int) -> int:
+    """``seen`` plus every vertex reached from it along ``adj`` inside
+    ``allowed``: ``reach_mask`` from a set of starts."""
+    frontier = seen
+    while frontier:
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            nxt |= adj[low.bit_length() - 1]
+            m ^= low
+        frontier = nxt & allowed & ~seen
+        seen |= frontier
+    return seen
 
 
 def _second_path(
@@ -546,28 +560,103 @@ def find_two_block_cycle_through_arc(
     This is complete for the incremental question "did adding ``arc`` create
     a two-block cycle?" when the digraph without ``arc`` is known to be free:
     any new certificate must traverse the new arc.
+
+    A certificate whose path P uses ``arc`` = a->b is one oriented cycle with
+    two blocks, read from b.  One depth-first search walks it in three
+    phases, each over vertices not yet on the walk (the free vertices):
+
+    1. forward from b to v, the suffix of P;
+    2. backward from v to u, the second path Q reversed;
+    3. forward from u to a, the prefix of P, found by ``_paths``.
+
+    At each vertex the search first tries to end the phase there (v = x,
+    then u = y) and only then extends it.  u = a is allowed when Q starts at
+    a, except for Q = a->b itself (v = b), which would be P again.  Two cuts
+    prune the walk, and each keeps every step that lies on a certificate:
+
+    - A suffix step y is kept only if y reaches forward, inside the free
+      vertices, a vertex reached from an ancestor of a (a vertex that
+      reaches a inside the free vertices plus a).  On a certificate the
+      rest of the suffix leads y to v, and Q leads u to v; u reaches a
+      along the prefix, and all of these vertices are still free.
+    - A step z of Q is kept only if z reaches backward, inside the free
+      vertices plus a, an ancestor of a: Q's part before z leads from u
+      to z, and u reaches a along the prefix.  For the same reason Q ends
+      at z only if z is an ancestor of a.
+
+    The lengths are checked when Q ends: Q covers one role and P, with the
+    prefix ``_paths`` is asked for, the other.  The walk keeps an explicit
+    stack, so its length is not bounded by the recursion limit.
     """
     a, b = arc
     if not d.has_arc(a, b):
         raise PreconditionViolated(f"arc {arc} not present")
     kk, ll = max(k, ell), min(k, ell)
     out_mask, in_mask = d.out_mask, d.in_mask
-    full = (1 << d.n) - 1
-    # Suffix paths b -> v avoiding a, then prefix paths u -> a (walked
-    # backwards from a) avoiding the suffix; together they are the first path.
-    for suffix, sused in _walks(out_mask, b, full & ~(1 << a)):
-        v = suffix[-1]
-        for prefix, pused in _walks(in_mask, a, full & ~sused):
-            u = prefix[-1]
-            interior = (pused | sused) & ~(1 << u) & ~(1 << v)
-            first_len = len(prefix) + len(suffix) - 1
-            q = _second_path(
-                out_mask, in_mask, u, v, full & ~interior, first_len, kk, ll
-            )
-            if q is not None:
-                cert = _certificate(u, v, (*prefix[::-1], *suffix), q, k, ell)
-                return _checked(d, cert, k, ell)
-    return None
+    abit = 1 << a
+    free = ((1 << d.n) - 1) & ~abit & ~(1 << b)
+    # ``walk`` is b, the suffix up to v = walk[turn], then Q backwards; while
+    # the suffix is still growing ``turn`` is -1.  ``todo`` masks the untried
+    # candidates after walk[-1] and ``keep`` is its cut mask: the ancestors
+    # of a in phase 2, the vertices reached from them in phase 1.  ``stack``
+    # saves all four for every earlier vertex.  The first Q may not be a->b.
+    walk = [b]
+    turn = 0
+    keep = reach_mask(in_mask, a, free | abit)
+    todo = in_mask[b] & free
+    stack = []
+    while True:
+        if not todo:
+            if turn == len(walk) - 1:
+                # Every Q ending at v = walk[-1] failed: extend the suffix.
+                turn = -1
+                keep = _closure(out_mask, keep, free)
+                todo = out_mask[walk[-1]] & free
+            elif stack:
+                todo, free, turn, keep = stack.pop()
+                walk.pop()
+            else:
+                return None
+            continue
+        zbit = todo & -todo
+        todo ^= zbit
+        z = zbit.bit_length() - 1
+        if turn < 0:
+            if not keep & zbit and not reach_mask(out_mask, z, free, keep) & keep:
+                continue
+        elif keep & zbit:
+            # z is an ancestor of a (a itself among them), so Q may end here.
+            # Q would run z, walk[-1], ..., v: m arcs; P then needs ``need``
+            # arcs before a to cover the other role.
+            m = len(walk) - turn
+            if m >= ll:
+                need = (ll if m >= kk else kk) - 1 - turn
+                if z == a:
+                    prefix = [] if need <= 0 else None
+                else:
+                    paths = _paths(out_mask, in_mask, z, a, free | abit, need)
+                    prefix = next(paths, None)
+                if prefix is not None:
+                    p = (*prefix, a, *walk[: turn + 1])
+                    q = (z, *reversed(walk[turn:]))
+                    cert = _certificate(z, walk[turn], p, q, k, ell)
+                    return _checked(d, cert, k, ell)
+            if z == a:
+                continue
+        elif not (
+            in_mask[z] & keep or reach_mask(in_mask, z, free | abit, keep) & keep
+        ):
+            continue
+        stack.append((todo, free, turn, keep))
+        if turn < 0:
+            turn = len(walk)
+        walk.append(z)
+        free ^= zbit
+        # The new frame cuts by the ancestors of a.  A suffix step left their
+        # closure in ``keep``; a step of Q changes them only if z was one.
+        if turn == len(walk) - 1 or keep & zbit:
+            keep = reach_mask(in_mask, a, free | abit)
+        todo = in_mask[z] & (free | abit)
 
 
 def longest_cycle(

@@ -348,6 +348,11 @@ def induced(d: Digraph, s: Iterable[int]) -> tuple[Digraph, tuple[int, ...]]:
     return Digraph(len(keep), arcs), tuple(keep)
 
 
+def reverse(d: Digraph) -> Digraph:
+    """The digraph with every arc turned around."""
+    return Digraph(d.n, frozenset((head, tail) for tail, head in d.arcs))
+
+
 def cycle_segment(c: DiCycle, u: int, v: int) -> DiPath:
     """The subpath of ``c`` from ``u`` to ``v`` along the cycle.
 
@@ -361,13 +366,6 @@ def cycle_segment(c: DiCycle, u: int, v: int) -> DiPath:
     if j > i:
         return DiPath(vs[i : j + 1])
     return DiPath(vs[i:] + vs[: j + 1])
-
-
-def path_in(d: Digraph, p: DiPath) -> bool:
-    """True iff every consecutive pair of ``p`` is an arc of ``d``."""
-    return all(d.has_arc(t, h) for t, h in p.arcs()) and all(
-        0 <= v < d.n for v in p.vertices
-    )
 
 
 def cycle_in(d: Digraph, c: DiCycle) -> bool:

@@ -51,6 +51,7 @@ from .digraph import (
     cycle_segment,
     induced,
     is_strong,
+    reverse,
     underlying_graph,
 )
 from .errors import (
@@ -781,9 +782,16 @@ def validate_trace(
     deep: bool = False,
     detect_cap: int | None = None,
 ) -> None:
-    """Independent trace validator; ``deep`` recomputes longest cycles and
-    re-runs detection on every level, with the caps of
-    :func:`build_contraction_trace`."""
+    """Independent trace validator.
+
+    ``deep`` also re-proves, with the caps of :func:`build_contraction_trace`,
+    that every contracted cycle is longest and that no level holds
+    ``c(k, ell)``.  Both proofs run on the reversed level: it has the same
+    cycles turned around, and it holds ``c(k, ell)`` exactly when the level
+    does (with u and v swapped).  So the re-proof is not the search that
+    built the trace run again: its pruning rules fire on other pairs, first
+    steps and vertices.
+    """
     k = trace.k
     cycle_cap = raised_cap(detect_cap, DEFAULT_CYCLE_CAP)
     prev_len: int | None = None
@@ -802,7 +810,7 @@ def validate_trace(
         if redone != levels[i + 1] or pmap != step.pmap:
             raise StructuralViolation(f"level {i} contraction does not replay")
         if deep:
-            exact = longest_cycle(step.digraph, cap=cycle_cap)
+            exact = longest_cycle(reverse(step.digraph), cap=cycle_cap)
             if exact.length != step.cycle.length:
                 raise StructuralViolation(
                     f"level {i} contracted cycle is not longest"
@@ -816,6 +824,6 @@ def validate_trace(
         raise StructuralViolation("final-level coloring exceeds 2k-3 colors")
     if deep:
         for i, level in enumerate(levels):
-            found = find_two_block_cycle(level, k, trace.ell, cap=detect_cap)
+            found = find_two_block_cycle(reverse(level), k, trace.ell, cap=detect_cap)
             if isinstance(found, TwoBlockCertificate):
                 raise StructuralViolation(f"level {i} contains c(k, ell)")

@@ -94,6 +94,32 @@ def oracle_two_block(d: Digraph, k: int, ell: int) -> bool:
     return False
 
 
+def oracle_verify_certificate(d: Digraph, cert, k: int, ell: int) -> bool:
+    """The object-based certificate check: vertex sets, ``DiPath`` interiors
+    and arcs looked up in ``d.arcs``, with every vertex range-checked first."""
+    a, b = cert.path_a, cert.path_b
+    vertices = set(range(d.n))
+    if not set(a.vertices) <= vertices or not set(b.vertices) <= vertices:
+        return False
+    if cert.u == cert.v:
+        return False
+    if a.start != cert.u or b.start != cert.u:
+        return False
+    if a.end != cert.v or b.end != cert.v:
+        return False
+    if a.vertices == b.vertices:
+        return False
+    if len(set(a.vertices)) != len(a.vertices):
+        return False
+    if len(set(b.vertices)) != len(b.vertices):
+        return False
+    if a.interior() & b.interior():
+        return False
+    if a.length < k or b.length < ell:
+        return False
+    return all(arc in d.arcs for arc in a.arcs() + b.arcs())
+
+
 def all_cycles(d: Digraph) -> list[tuple[int, ...]]:
     """Every simple directed cycle, rotated so the minimum vertex comes first."""
     adj = out_adjacency(d)

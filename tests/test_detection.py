@@ -2,10 +2,9 @@ from __future__ import annotations
 
 import gc
 import random
-from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from twoblock import detection
@@ -16,7 +15,6 @@ from twoblock.detection import (
     _pair_search,
     _paths,
     _two_disjoint_paths,
-    _walks,
     crossing_chord_case,
     find_two_block_cycle,
     find_two_block_cycle_through_arc,
@@ -50,6 +48,7 @@ from oracles import (
     first_pair_search,
     oracle_longest_cycle_length,
     oracle_two_block,
+    oracle_verify_certificate,
     random_digraph,
     two_block_pairs,
 )
@@ -270,37 +269,21 @@ def test_reach_mask_stop_matches_full_search(d, data):
         assert bool(part & stop) == bool(full & stop)
 
 
-def preorder_walks(adj, start, allowed):
-    # Brute force: every vertex sequence from start that follows adj.  Tuple
-    # order puts a path before its extensions, which is preorder.
-    rest = [x for x in range(len(adj)) if (allowed >> x) & 1 and x != start]
-    walks = [(start,)]
-    for size in range(1, len(rest) + 1):
-        for tail in permutations(rest, size):
-            walk = (start, *tail)
-            if all((adj[a] >> b) & 1 for a, b in zip(walk, walk[1:])):
-                walks.append(walk)
-    return sorted(walks)
-
-
-@settings(max_examples=150, deadline=None)
-@given(digraphs(max_n=6), st.data())
-def test_walks_match_brute_force(d, data):
-    start = data.draw(st.integers(0, d.n - 1))
-    allowed = data.draw(st.integers(0, (1 << d.n) - 1)) | (1 << start)
-    for adj in (d.out_mask, d.in_mask):
-        got = []
-        for walk, used in _walks(adj, start, allowed):
-            assert used == sum(1 << x for x in walk)
-            got.append(tuple(walk))
-        assert got == preorder_walks(adj, start, allowed)
-
-
 class TestIterativeSearches:
     def test_long_cycle_needs_no_recursion(self):
         d = directed_cycle(1200)
         assert hamiltonian_cycle(d, cap=1200).vertices == tuple(range(1200))
         assert longest_cycle(d, cap=1200).vertices == tuple(range(1200))
+
+    def test_long_oriented_cycle_through_arc(self):
+        # The chord 2->0 and the 1,198-arc path 2 -> 3 -> ... -> 0 are the
+        # only certificate through the chord, so c(2, 2) has none.
+        d = Digraph(1200, directed_cycle(1200).arcs | {(2, 0)})
+        cert = find_two_block_cycle_through_arc(d, 2, 1, (2, 0))
+        assert (cert.u, cert.v) == (2, 0)
+        assert cert.path_a.vertices == (*range(2, 1200), 0)
+        assert cert.path_b.vertices == (2, 0)
+        assert find_two_block_cycle_through_arc(d, 2, 2, (2, 0)) is None
 
     def test_searches_leave_no_reference_cycles(self, fig1):
         calls = [
@@ -377,6 +360,114 @@ class TestVerifyCertificate:
         d = directed_cycle(5)
         cert = TwoBlockCertificate(0, 2, DiPath((0, 1, 2)), DiPath((0, 2)), 2, 1)
         assert not verify_certificate(d, cert, 2, 1)
+
+    def test_repeated_vertex_rejected(self):
+        # Every arc of the walk 0 1 2 1 3 exists; only simplicity fails.
+        d = build_digraph(4, [(0, 1), (1, 2), (2, 1), (1, 3), (0, 3)])
+        walk = raw_path((0, 1, 2, 1, 3))
+        cert = TwoBlockCertificate(0, 3, walk, DiPath((0, 3)), 2, 1)
+        assert not verify_certificate(d, cert, 2, 1)
+        assert not oracle_verify_certificate(d, cert, 2, 1)
+
+    def test_negative_vertices_rejected(self):
+        d = c5_with_chord()
+        for p, q, u, v in [
+            ((0, -1, 2), (0, 2), 0, 2),
+            ((-5, 1, 2), (-5, 2), -5, 2),
+            ((0, 1, 2), (0, -3, 2), 0, 2),
+            ((0, 1, -3), (0, -3), 0, -3),
+        ]:
+            cert = TwoBlockCertificate(u, v, DiPath(p), DiPath(q), 1, 1)
+            assert not verify_certificate(d, cert, 1, 1)
+
+    def test_vertices_beyond_n_rejected(self):
+        d = c5_with_chord()
+        for p, q, u, v in [
+            ((0, 5, 2), (0, 2), 0, 2),
+            ((0, 1, 2), (0, 9, 2), 0, 2),
+            ((7, 1, 2), (7, 2), 7, 2),
+        ]:
+            cert = TwoBlockCertificate(u, v, DiPath(p), DiPath(q), 1, 1)
+            assert not verify_certificate(d, cert, 1, 1)
+
+
+def raw_path(vertices):
+    # A DiPath that skips the constructor's checks, as a corrupted
+    # certificate might carry one.
+    path = object.__new__(DiPath)
+    object.__setattr__(path, "vertices", tuple(vertices))
+    return path
+
+
+def mutants(d, cert):
+    # Single-vertex mutations of a valid certificate, each with the digraph,
+    # k and ell to check it against.
+    p, q = cert.path_a.vertices, cert.path_b.vertices
+    u, v, k, ell = cert.u, cert.v, cert.k_req, cert.ell_req
+
+    def with_paths(pp, qq, uu=u, vv=v):
+        return TwoBlockCertificate(uu, vv, raw_path(pp), raw_path(qq), k, ell)
+
+    def with_middle(x):
+        # The path with an interior vertex has its middle vertex set to x.
+        if len(p) > 2:
+            i = len(p) // 2
+            return with_paths((*p[:i], x, *p[i + 1 :]), q)
+        i = len(q) // 2
+        return with_paths(p, (*q[:i], x, *q[i + 1 :]))
+
+    yield "repeated vertex", d, with_middle(u), k, ell
+    for bad in (-1, d.n):
+        yield "out-of-range vertex", d, with_middle(bad), k, ell
+        yield "out-of-range vertex", d, with_paths(p, q, bad, v), k, ell
+    yield "swapped endpoints", d, with_paths(p, q, v, u), k, ell
+    if len(p) > 2 and len(q) > 2:
+        shared = (q[0], p[1], *q[2:])
+        yield "shared interior vertex", d, with_paths(p, shared), k, ell
+    yield "path too short", d, cert, len(p), ell
+    yield "path too short", d, cert, k, len(q)
+    for t, h in zip(p, p[1:]):
+        yield "missing arc", Digraph(d.n, d.arcs - {(t, h)}), cert, k, ell
+    yield "identical paths", d, with_paths(p, p), k, min(ell, len(p) - 1)
+
+
+def test_verifier_matches_oracle_on_certificates_and_mutants():
+    rng = random.Random(2024)
+    valid = rejected = 0
+    for _ in range(150):
+        d = random_digraph(rng, rng.randint(3, 7), rng.choice([0.3, 0.5]))
+        for u in range(d.n):
+            for v in range(d.n):
+                paths = all_simple_paths(d, u, v) if u != v else []
+                for p in paths:
+                    for q in paths:
+                        if p == q or set(p[1:-1]) & set(q[1:-1]):
+                            continue
+                        k = rng.randint(1, len(p) - 1)
+                        ell = rng.randint(1, len(q) - 1)
+                        cert = TwoBlockCertificate(u, v, DiPath(p), DiPath(q), k, ell)
+                        assert verify_certificate(d, cert, k, ell)
+                        assert oracle_verify_certificate(d, cert, k, ell)
+                        valid += 1
+                        for what, dd, bad, kk, ll in mutants(d, cert):
+                            assert not oracle_verify_certificate(dd, bad, kk, ll), what
+                            assert not verify_certificate(dd, bad, kk, ll), what
+                            rejected += 1
+    assert valid > 500 and rejected > 5000
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs(min_n=2, max_n=6), st.data())
+def test_verifier_matches_oracle_on_random_vertex_tuples(d, data):
+    vertex = st.integers(-2, d.n + 1)
+    p = data.draw(st.lists(vertex, min_size=1, max_size=d.n + 1))
+    q = data.draw(st.lists(vertex, min_size=1, max_size=d.n + 1))
+    u, v = data.draw(vertex), data.draw(vertex)
+    k, ell = data.draw(st.integers(0, d.n)), data.draw(st.integers(0, d.n))
+    cert = TwoBlockCertificate(u, v, raw_path(p), raw_path(q), k, ell)
+    assert verify_certificate(d, cert, k, ell) == oracle_verify_certificate(
+        d, cert, k, ell
+    )
 
 
 class TestLongestCycle:
@@ -524,6 +615,25 @@ class TestThroughArcSearch:
             if via_arc is not None:
                 assert verify_certificate(bigger, via_arc, k, ell)
             checked += 1
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(digraphs(max_n=7), st.integers(1, 3), st.integers(1, 3))
+def test_through_arc_matches_oracle_on_every_missing_arc(d, k, ell):
+    # On a free digraph a new c(k, ell) must use the new arc, so the
+    # arc-anchored verdict is the oracle's verdict on the larger digraph.
+    assume(not oracle_two_block(d, k, ell))
+    for arc in ((t, h) for t in range(d.n) for h in range(d.n)):
+        if arc[0] == arc[1] or arc in d.arcs:
+            continue
+        bigger = Digraph(d.n, d.arcs | {arc})
+        cert = find_two_block_cycle_through_arc(bigger, k, ell, arc)
+        assert (cert is not None) == oracle_two_block(bigger, k, ell)
+        if cert is not None:
+            assert oracle_verify_certificate(bigger, cert, k, ell)
+            assert arc in cert.path_a.arcs() + cert.path_b.arcs()
 
 
 def test_exhaustive_detection_agrees_with_oracle_small():

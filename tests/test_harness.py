@@ -34,6 +34,29 @@ CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 456}
 STRONG_CLASS_COUNTS = {1: 1, 2: 0, 3: 1, 4: 1, 5: 6, 6: 35, 7: 353}
 
 
+def test_sprinkle_makes_one_arc_anchored_call_per_candidate(monkeypatch):
+    # The benchmark's per-layer figures for arc-anchored detection count
+    # these calls: one per candidate arc, none hidden behind another entry.
+    calls = []
+    real = harness.find_two_block_cycle_through_arc
+
+    def counting(d, k, ell, arc):
+        calls.append(arc)
+        return real(d, k, ell, arc)
+
+    monkeypatch.setattr(harness, "find_two_block_cycle_through_arc", counting)
+    n = 9
+    base = {(i, (i + 1) % n) for i in range(n)}
+    d = harness._sprinkle_chords(n, 3, 2, set(base), random.Random(7), 12)
+    non_arcs = {(i, j) for i in range(n) for j in range(n) if i != j} - base
+    assert len(calls) == len(non_arcs) == len(set(calls))
+    assert set(calls) == non_arcs
+    assert base < d.arcs
+    calls.clear()
+    random_strong_ckl_free(8, 3, 1, seed=11)
+    assert len(calls) == 8 * 7 - 8
+
+
 def same_partition(digraphs, form_a, form_b) -> bool:
     """Whether two canonical forms split ``digraphs`` into the same classes."""
     pairs = {(form_a(d), form_b(d)) for d in digraphs}

@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from twoblock.coloring import chromatic_number, elimination_back_degree, is_proper
+from twoblock.coloring import (
+    Coloring,
+    chromatic_number,
+    elimination_back_degree,
+    is_proper,
+)
 from twoblock.detection import TwoBlockCertificate, verify_certificate
 from twoblock.digraph import (
     DiCycle,
@@ -19,6 +24,7 @@ from twoblock.digraph import (
 from twoblock.errors import NotStrong, PreconditionViolated, StructuralViolation
 from twoblock.harness import random_cycle_tree_free, random_strong_ckl_free
 from twoblock.pipeline import (
+    ContractionTrace,
     CycleTree,
     TraceStep,
     _build_cycle_tree,
@@ -98,6 +104,43 @@ class TestBuildContractionTrace:
         assert len(trace.steps) == 2
         assert trace.lengths() == (3, 3)
         validate_trace(trace, deep=True)
+
+
+class TestDeepValidation:
+    # Traces that pass every structural check but hold c(k, ell) at one
+    # level; only the deep re-proof can reject them.
+
+    def test_rejects_planted_level(self):
+        # C5 plus the chord 0->2 holds c(2, 1); its Hamiltonian cycle
+        # contracts to one vertex, which one colour colours.
+        d = build_digraph(5, [(i, (i + 1) % 5) for i in range(5)] + [(0, 2)])
+        cycle = DiCycle(tuple(range(5)))
+        final, pmap = contract(d, cycle.vertices)
+        step = TraceStep(d, cycle, pmap, final.n - 1)
+        trace = ContractionTrace(2, 1, (step,), final, Coloring((0,), 1), True)
+        validate_trace(trace)
+        with pytest.raises(StructuralViolation, match="level 0 contains"):
+            validate_trace(trace, deep=True)
+
+    def test_rejects_planted_final_level(self):
+        # C5 plus the chord 0->3 holds c(3, 1) and is 3-colourable.
+        d = build_digraph(5, [(i, (i + 1) % 5) for i in range(5)] + [(0, 3)])
+        trace = ContractionTrace(3, 1, (), d, Coloring((0, 1, 0, 1, 2), 3), True)
+        validate_trace(trace)
+        with pytest.raises(StructuralViolation, match="level 0 contains"):
+            validate_trace(trace, deep=True)
+
+    def test_rejects_cycle_that_is_not_longest(self):
+        # A 4-cycle contracted while a 5-cycle exists.
+        d = build_digraph(5, [(i, (i + 1) % 5) for i in range(5)] + [(3, 0)])
+        cycle = DiCycle((0, 1, 2, 3))
+        final, pmap = contract(d, cycle.vertices)
+        step = TraceStep(d, cycle, pmap, final.n - 1)
+        coloring = Coloring((0, 1), 2)
+        trace = ContractionTrace(3, 1, (step,), final, coloring, True)
+        validate_trace(trace)
+        with pytest.raises(StructuralViolation, match="not longest"):
+            validate_trace(trace, deep=True)
 
 
 class TestCertificateLifting:
