@@ -11,7 +11,16 @@ simple u->v paths (or the cycles through u) of a given minimum length in
 depth-first order and prunes with bitmask reachability.  Once the length
 bound can no longer cut a branch, the kernel only asks whether the target
 is still reachable, and that test (``reach_mask`` with ``stop``, also
-used by the Menger gate) stops at the first sight of it.  Exhaustive pair search
+used by the Menger gate) stops at the first sight of it.  Exhaustive
+detection searches a pair (u, v) only if it passes a Menger gate: two
+internally disjoint u->v paths exist iff no single vertex separates u
+from v.  With the arc u->v present the gate is one reachability test per
+pair.  Without it, the vertices on every u->v path are the dominators of
+v from u, and one dominator pass per source answers the gate for all its
+targets (see ``_dominators``).  The arc rule stays per pair: answering it
+from the dominators as well measured slower on the mostly positive sweep
+of labeled 6-tournaments, where many hits come at a source's first pair,
+before any dominator pass is needed.  Exhaustive pair search
 follows a first-step rule: a first path that leaves u by x is paired only
 with second paths that leave u by some y > x, and no first path leaves u
 by its largest out-neighbour.  The first path in lexicographic order that
@@ -50,7 +59,6 @@ from .digraph import (
     DiPath,
     cycle_segment,
     is_strong,
-    iter_bits,
     reach_mask,
 )
 from .errors import (
@@ -436,42 +444,82 @@ def _pair_search(
     return None
 
 
-def _two_disjoint_paths(
-    out_mask: tuple[int, ...], in_mask: tuple[int, ...], u: int, v: int, region: int
+def _dominators(
+    out_mask: tuple[int, ...], in_mask: tuple[int, ...], u: int, allowed: int
+) -> list[int]:
+    """For every vertex x reached from u inside ``allowed``, the bitmask of
+    the vertices that lie on every u->x path (x and u among them); 0 for
+    every other vertex.
+
+    This is the maximal fixpoint of ``dom(x) = {x} | AND dom(p)`` over the
+    in-neighbours p of x reached from u, with ``dom(u) = {u}`` (Cooper,
+    Harvey & Kennedy 2001).  Every reached vertex starts at the full
+    reached set and the rule is applied in breadth-first order from u
+    until nothing changes; an in-neighbour met before its own turn still
+    holds the full set and so cuts nothing.
+    """
+    ubit = 1 << u
+    order = []
+    seen = frontier = ubit & allowed
+    while frontier:
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            x = low.bit_length() - 1
+            order.append(x)
+            nxt |= out_mask[x]
+            m ^= low
+        frontier = nxt & allowed & ~seen
+        seen |= frontier
+    dom = [0] * len(out_mask)
+    for x in order:
+        dom[x] = seen
+    dom[u] = ubit & allowed
+    rest = order[1:]
+    changed = True
+    while changed:
+        changed = False
+        for x in rest:
+            new = seen
+            m = in_mask[x] & seen
+            while m:
+                low = m & -m
+                new &= dom[low.bit_length() - 1]
+                m ^= low
+            new |= 1 << x
+            if new != dom[x]:
+                dom[x] = new
+                changed = True
+    return dom
+
+
+def _menger_gate(
+    out_mask: tuple[int, ...],
+    in_mask: tuple[int, ...],
+    u: int,
+    v: int,
+    region: int,
+    dom: list[int] | None,
 ) -> bool:
     """Whether ``region`` holds two internally disjoint u->v paths.
 
     By Menger's theorem this holds iff v is reachable from u and no single
     vertex of ``region`` other than u and v separates them.  With the arc
-    u->v present, the arc is one path and the other needs an interior vertex.
-    Otherwise a separating vertex lies on every u->v path, so only the
-    interior of one shortest path, traced back through the breadth-first
-    layers from u, is tested.  Each reachability test stops as soon as it
-    meets its target.
+    u->v present, the arc is one path and the other needs an interior
+    vertex: one reachability test, which stops as soon as it meets an
+    in-neighbour of v.  Otherwise the vertices on every u->v path are the
+    dominators of v from u, so the test is ``dom[v] == {u, v}``.  ``dom``
+    is ``_dominators(out_mask, in_mask, u, allowed)`` for an ``allowed``
+    with the same u->v paths as ``region`` (``region`` itself, or every
+    vertex reached from u when ``region`` is the vertices between u and
+    v); it is read only without the arc.
     """
     ubit, vbit = 1 << u, 1 << v
     if (out_mask[u] >> v) & 1:
         others = in_mask[v] & ~ubit
         return bool(reach_mask(out_mask, u, region & ~vbit, others) & others)
-    layers = []
-    seen = frontier = ubit
-    while not frontier & vbit:
-        if not frontier:
-            return False
-        layers.append(frontier)
-        nxt = 0
-        for x in iter_bits(frontier):
-            nxt |= out_mask[x]
-        frontier = nxt & region & ~seen
-        seen |= frontier
-    x = v
-    for layer in reversed(layers[1:]):
-        back = in_mask[x] & layer
-        wbit = back & -back
-        if not reach_mask(out_mask, u, region & ~wbit, vbit) & vbit:
-            return False
-        x = wbit.bit_length() - 1
-    return True
+    return dom[v] == ubit | vbit
 
 
 def find_two_block_cycle(
@@ -509,15 +557,25 @@ def find_two_block_cycle(
     need_interior = (kk - 1) + (ll - 1)
     out_mask, in_mask = d.out_mask, d.in_mask
     searched = 0
+    # The vertices that reach v, computed at the first pair that needs them.
+    co_reach = [0] * n
     for u in range(n):
         reach_u = reach_mask(out_mask, u, full)
+        # u's dominator sets, computed at u's first arc-absent pair that
+        # passes the size cut; they answer the gate for every such pair.
+        dom = None
         for v in range(n):
             if v == u or not (reach_u >> v) & 1:
                 continue
-            region = reach_u & reach_mask(in_mask, v, full)
+            co = co_reach[v]
+            if not co:
+                co = co_reach[v] = reach_mask(in_mask, v, full)
+            region = reach_u & co
             if region.bit_count() - 2 < need_interior:
                 continue
-            if not _two_disjoint_paths(out_mask, in_mask, u, v, region):
+            if dom is None and not (out_mask[u] >> v) & 1:
+                dom = _dominators(out_mask, in_mask, u, reach_u)
+            if not _menger_gate(out_mask, in_mask, u, v, region, dom):
                 continue
             searched += 1
             pair = _pair_search(d, u, v, region, kk, ll)

@@ -85,6 +85,23 @@ class Digraph:
     def has_arc(self, tail: int, head: int) -> bool:
         return bool((self.out_mask[tail] >> head) & 1)
 
+    def with_arc(self, tail: int, head: int) -> Digraph:
+        """This digraph plus the arc tail->head, which must be a new arc.
+
+        Its adjacency masks are this digraph's with one bit set each, stored
+        where ``cached_property`` would put them, instead of being rebuilt
+        from the arc set.
+        """
+        arcs = set(self.arcs)
+        add_arc(arcs, self.n, tail, head)
+        d = Digraph(self.n, frozenset(arcs))
+        out_mask, in_mask = list(self.out_mask), list(self.in_mask)
+        out_mask[tail] |= 1 << head
+        in_mask[head] |= 1 << tail
+        object.__setattr__(d, "out_mask", tuple(out_mask))
+        object.__setattr__(d, "in_mask", tuple(in_mask))
+        return d
+
     @property
     def arc_count(self) -> int:
         return len(self.arcs)

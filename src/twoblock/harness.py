@@ -277,8 +277,7 @@ def random_hamiltonian_min_degree(n: int, min_degree: int, seed: int) -> Digraph
         t, h = cand
         if min(d.underlying_degree(t), d.underlying_degree(h)) >= min_degree:
             continue
-        arcs.add(cand)
-        d = Digraph(n, frozenset(arcs))
+        d = d.with_arc(*cand)
     if any(d.underlying_degree(v) < min_degree for v in range(n)):
         raise PreconditionViolated("degree target unreachable")
     return d
@@ -366,17 +365,18 @@ def _sprinkle_chords(
     by exhaustive detection.
 
     Each trial is the arc-anchored search, complete because the digraph
-    before the trial is already free.
+    before the trial is already free.  An accepted trial becomes the
+    current digraph, so every trial extends the masks of the last.
     """
     candidates = [
         (i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in arcs
     ]
     rng.shuffle(candidates)
-    for cand in candidates:
-        trial = Digraph(n, frozenset(arcs | {cand}))
-        if find_two_block_cycle_through_arc(trial, k, ell, cand) is None:
-            arcs.add(cand)
     d = Digraph(n, frozenset(arcs))
+    for cand in candidates:
+        trial = d.with_arc(*cand)
+        if find_two_block_cycle_through_arc(trial, k, ell, cand) is None:
+            d = trial
     outcome = find_two_block_cycle(d, k, ell, cap=cap)
     if not isinstance(outcome, AbsenceReport) or outcome.mode != "exhaustive":
         raise PreconditionViolated(

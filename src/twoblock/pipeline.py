@@ -791,6 +791,15 @@ def validate_trace(
     does (with u and v swapped).  So the re-proof is not the search that
     built the trace run again: its pruning rules fire on other pairs, first
     steps and vertices.
+
+    It cannot cross-check a rule that reads the same on the reverse.  The
+    region-size cut of ``find_two_block_cycle`` is one: the vertices
+    between u and v in a level are those between v and u in its reverse,
+    so a wrong bound there errs the same way in both proofs.  That cut is
+    checked by the tests that compare detection with brute force or pin
+    its ``pairs_checked``: ``test_figure1_has_no_c41``,
+    ``test_exhaustive_detection_agrees_with_oracle_small`` and acceptance
+    criterion 6.
     """
     k = trace.k
     cycle_cap = raised_cap(detect_cap, DEFAULT_CYCLE_CAP)

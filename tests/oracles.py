@@ -120,6 +120,87 @@ def oracle_verify_certificate(d: Digraph, cert, k: int, ell: int) -> bool:
     return all(arc in d.arcs for arc in a.arcs() + b.arcs())
 
 
+def reaches(adj: dict[int, list[int]], u: int, v: int, allowed: set[int]) -> bool:
+    """Whether v is reachable from u by a path inside ``allowed``, along the
+    out-adjacency lists ``adj``."""
+    if u not in allowed:
+        return False
+    seen, stack = {u}, [u]
+    while stack:
+        for h in adj[stack.pop()]:
+            if h in allowed and h not in seen:
+                seen.add(h)
+                stack.append(h)
+    return v in seen
+
+
+def oracle_dominators(d: Digraph, u: int, allowed: int) -> list[int]:
+    """Per vertex v reached from u inside ``allowed``, the bitmask of the x
+    in ``allowed`` such that v is not reachable from u inside
+    ``allowed - {x}``; 0 for every other vertex."""
+    adj = out_adjacency(d)
+    inside = {x for x in range(d.n) if (allowed >> x) & 1}
+    dom = [0] * d.n
+    for v in range(d.n):
+        if reaches(adj, u, v, inside):
+            for x in inside:
+                if not reaches(adj, u, v, inside - {x}):
+                    dom[v] |= 1 << x
+    return dom
+
+
+def oracle_two_disjoint_paths(d: Digraph, u: int, v: int, region: int) -> bool:
+    """The cut-vertex Menger gate that exhaustive detection ran per pair
+    before its dominator gate, on its own bitmask reachability.
+
+    With the arc u->v present, the arc is one path and the other needs an
+    interior vertex.  Otherwise a separating vertex lies on every u->v
+    path, so only the interior of one shortest path, traced back through
+    the breadth-first layers from u, is tested.
+    """
+    out_mask = [0] * d.n
+    in_mask = [0] * d.n
+    for t, h in d.arcs:
+        out_mask[t] |= 1 << h
+        in_mask[h] |= 1 << t
+
+    def reach(start: int, allowed: int) -> int:
+        seen = frontier = (1 << start) & allowed
+        while frontier:
+            nxt = 0
+            for x in range(d.n):
+                if (frontier >> x) & 1:
+                    nxt |= out_mask[x]
+            frontier = nxt & allowed & ~seen
+            seen |= frontier
+        return seen
+
+    ubit, vbit = 1 << u, 1 << v
+    if (out_mask[u] >> v) & 1:
+        others = in_mask[v] & ~ubit
+        return bool(reach(u, region & ~vbit) & others)
+    layers = []
+    seen = frontier = ubit
+    while not frontier & vbit:
+        if not frontier:
+            return False
+        layers.append(frontier)
+        nxt = 0
+        for x in range(d.n):
+            if (frontier >> x) & 1:
+                nxt |= out_mask[x]
+        frontier = nxt & region & ~seen
+        seen |= frontier
+    x = v
+    for layer in reversed(layers[1:]):
+        back = in_mask[x] & layer
+        wbit = back & -back
+        if not reach(u, region & ~wbit) & vbit:
+            return False
+        x = wbit.bit_length() - 1
+    return True
+
+
 def all_cycles(d: Digraph) -> list[tuple[int, ...]]:
     """Every simple directed cycle, rotated so the minimum vertex comes first."""
     adj = out_adjacency(d)

@@ -12,9 +12,10 @@ from twoblock.detection import (
     AbsenceReport,
     CrossingException,
     TwoBlockCertificate,
+    _dominators,
+    _menger_gate,
     _pair_search,
     _paths,
-    _two_disjoint_paths,
     crossing_chord_case,
     find_two_block_cycle,
     find_two_block_cycle_through_arc,
@@ -46,8 +47,10 @@ from oracles import (
     all_simple_paths,
     cycles_through,
     first_pair_search,
+    oracle_dominators,
     oracle_longest_cycle_length,
     oracle_two_block,
+    oracle_two_disjoint_paths,
     oracle_verify_certificate,
     random_digraph,
     two_block_pairs,
@@ -138,8 +141,12 @@ def full_region(d, u, v):
     return reach_mask(d.out_mask, u, full) & reach_mask(d.in_mask, v, full)
 
 
-def gate(d, u, v):
-    return _two_disjoint_paths(d.out_mask, d.in_mask, u, v, full_region(d, u, v))
+def gate(d, u, v, region=None):
+    # The Menger gate with the dominator sets taken inside ``region``.
+    if region is None:
+        region = full_region(d, u, v)
+    dom = _dominators(d.out_mask, d.in_mask, u, region)
+    return _menger_gate(d.out_mask, d.in_mask, u, v, region, dom)
 
 
 class TestTwoDisjointPathsGate:
@@ -204,7 +211,50 @@ def test_gate_matches_single_vertex_cut_check(d, data):
         expected = reaches(d, u, v, inside) and all(
             reaches(d, u, v, inside - {w}) for w in inside - {u, v}
         )
-    assert _two_disjoint_paths(d.out_mask, d.in_mask, u, v, region) == expected
+    assert gate(d, u, v, region) == expected
+
+
+def random_region(d, data, *ends):
+    return data.draw(st.integers(0, (1 << d.n) - 1)) | sum(1 << x for x in ends)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs(min_n=1, max_n=8), st.data())
+def test_dominators_match_oracle(d, data):
+    allowed = random_region(d, data)
+    for u in range(d.n):
+        got = _dominators(d.out_mask, d.in_mask, u, allowed | (1 << u))
+        assert got == oracle_dominators(d, u, allowed | (1 << u))
+        # Without u in ``allowed`` nothing is reached.
+        assert _dominators(d.out_mask, d.in_mask, u, allowed & ~(1 << u)) == [0] * d.n
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs(min_n=2, max_n=8), st.data())
+def test_gate_matches_reference_gates(d, data):
+    u, v = data.draw(st.permutations(range(d.n)))[:2]
+    region = random_region(d, data, u, v)
+    verdict = gate(d, u, v, region)
+    assert verdict == oracle_two_disjoint_paths(d, u, v, region)
+    if (u, v) not in d.arcs:
+        dom = oracle_dominators(d, u, region)
+        assert verdict == (dom[v] == (1 << u) | (1 << v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs(min_n=2, max_n=8))
+def test_gate_from_one_dominator_pass_per_source(d):
+    # Detection takes u's dominators once, inside everything u reaches, and
+    # reads them for every v: the u->v paths there are those of the region.
+    full = (1 << d.n) - 1
+    for u in range(d.n):
+        reach_u = reach_mask(d.out_mask, u, full)
+        dom = _dominators(d.out_mask, d.in_mask, u, reach_u)
+        for v in range(d.n):
+            if v != u and (reach_u >> v) & 1:
+                region = full_region(d, u, v)
+                got = _menger_gate(d.out_mask, d.in_mask, u, v, region, dom)
+                assert got == gate(d, u, v)
 
 
 @settings(max_examples=100, deadline=None)

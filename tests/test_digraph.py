@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from twoblock.digraph import (
     DiCycle,
     DiPath,
+    Digraph,
     build_digraph,
     contract,
     cycle_segment,
@@ -55,6 +56,42 @@ class TestBuildDigraph:
     def test_out_of_range_rejected(self):
         with pytest.raises(VertexOutOfRange):
             build_digraph(3, [(0, 3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs(min_n=2, max_n=8), st.data())
+def test_with_arc_matches_a_fresh_digraph(d, data):
+    missing = [
+        (a, b) for a in range(d.n) for b in range(d.n)
+        if a != b and (a, b) not in d.arcs
+    ]
+    if not missing:
+        return
+    a, b = data.draw(st.sampled_from(missing))
+    grown = d.with_arc(a, b)
+    fresh = Digraph(d.n, d.arcs | {(a, b)})
+    assert grown == fresh
+    # The masks were derived from d's; they must equal freshly built ones.
+    assert grown.out_mask == fresh.out_mask
+    assert grown.in_mask == fresh.in_mask
+    assert grown.out_adj == fresh.out_adj
+
+
+class TestWithArc:
+    def test_leaves_the_parent_alone(self):
+        d = directed_cycle(3)
+        grown = d.with_arc(0, 2)
+        assert grown.has_arc(0, 2) and not d.has_arc(0, 2)
+        assert d.out_mask == (0b010, 0b100, 0b001)
+
+    def test_rejects_bad_arcs(self):
+        d = directed_cycle(3)
+        with pytest.raises(LoopArc):
+            d.with_arc(1, 1)
+        with pytest.raises(DuplicateArc):
+            d.with_arc(0, 1)
+        with pytest.raises(VertexOutOfRange):
+            d.with_arc(0, 3)
 
 
 class TestUnderlyingGraph:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoblock.detection import _two_disjoint_paths, longest_cycle
+from twoblock.detection import _dominators, _menger_gate, longest_cycle
 from twoblock.digraph import Digraph, is_strong, strong_components
 from twoblock.errors import Acyclic
 from twoblock.harness import canonical_form, tournament_classes
@@ -62,7 +62,8 @@ def test_two_disjoint_paths_matches_networkx(d, data):
         count = len(list(nx.node_disjoint_paths(sub, u, v)))
     except nx.NetworkXNoPath:
         count = 0
-    assert _two_disjoint_paths(d.out_mask, d.in_mask, u, v, region) == (count >= 2)
+    dom = _dominators(d.out_mask, d.in_mask, u, region)
+    assert _menger_gate(d.out_mask, d.in_mask, u, v, region, dom) == (count >= 2)
 
 
 def relabel(d: Digraph, rng: random.Random) -> Digraph:
