@@ -17,16 +17,15 @@ from .detection import (
     DEFAULT_CYCLE_CAP,
     AbsenceReport,
     TwoBlockCertificate,
+    certify,
     find_two_block_cycle,
     hamiltonian_cycle,
     longest_cycle,
     raised_cap,
-    verify_certificate,
 )
 from .digraph import (
     Digraph,
     DiCycle,
-    DiPath,
     build_digraph,
     cycle_segment,
     is_strong,
@@ -149,10 +148,7 @@ def _induced_cycle_check(args, d: Digraph, ham: DiCycle) -> int:
         _, coloring = chromatic_number(underlying_graph(d))
         _emit_coloring(args, d, coloring)
         return EXIT_OK
-    u, v = chord
-    cert = TwoBlockCertificate(u, v, DiPath(chord), cycle_segment(ham, u, v), 1, 1)
-    if not verify_certificate(d, cert, 1, 1):
-        raise StructuralViolation("chord certificate failed verification")
+    cert = certify(d, chord, cycle_segment(ham, *chord).vertices, 1, 1)
     print("input contains a two-block cycle; certificate follows")
     print(io.to_json(cert.to_json_dict()))
     return EXIT_OK

@@ -228,22 +228,12 @@ def _color_backtrack(g: UGraph, c: int, clique: list[int]) -> Coloring | None:
 
 
 def chromatic_number(g: UGraph, *, cap: int | None = None) -> tuple[int, Coloring]:
-    """Exact chromatic number with a witness coloring."""
-    if g.n == 0:
-        return 0, Coloring((), 0)
-    lower = max(len(_greedy_clique(g)), 1)
-    greedy = _dsatur_greedy(g)
-    if greedy.palette_size == lower:
-        return lower, greedy
-    two = _two_color(g)
-    if two is not None:
-        return two.palette_size, two
-    lower = max(lower, 3)
-    for c in range(lower, greedy.palette_size):
-        witness = k_colorable(g, c, cap=cap)
-        if witness is not None:
-            return c, witness
-    return greedy.palette_size, greedy
+    """Exact chromatic number: the least ``c`` that :func:`k_colorable`
+    accepts, with the coloring it returns."""
+    c = 0
+    while (coloring := k_colorable(g, c, cap=cap)) is None:
+        c += 1
+    return c, coloring
 
 
 def degeneracy(g: UGraph) -> EliminationOrder:

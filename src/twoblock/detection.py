@@ -38,13 +38,13 @@ are pinned.  Arc-anchored detection searches one oriented cycle through
 the new arc a->b: forward from b, backward along the second path, then
 forward to a with ``_paths`` (see ``find_two_block_cycle_through_arc``).
 No search recurses, so path length is not bounded by the interpreter's
-recursion limit.  ``verify_certificate`` re-checks every certificate on
-bitmasks, with code of its own.  The searches are exponential, but the
-pruning keeps exhaustive proofs comfortable at desk scale.  Beyond the
-cap, strict mode refuses; heuristic mode runs the same search under an
-expansion budget (detection also in a random order over a sample of
-pairs), so its negatives are tagged as unverified and its longest cycle is
-not certified longest.
+recursion limit.  Every certificate is built by ``certify``, which
+re-checks it with ``verify_certificate``: on bitmasks, with code of its
+own.  The searches are exponential, but the pruning keeps exhaustive
+proofs comfortable at desk scale.  Beyond the cap, strict mode refuses;
+heuristic mode runs the same search under an expansion budget (detection
+also in a random order over a sample of pairs), so its negatives are
+tagged as unverified and its longest cycle is not certified longest.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .digraph import (
     Digraph,
     DiCycle,
     DiPath,
+    build_digraph,
     cycle_segment,
     is_strong,
     reach_mask,
@@ -179,22 +180,21 @@ def verify_certificate(
     return True
 
 
-def _certificate(
-    u: int, v: int, p: tuple[int, ...], q: tuple[int, ...], k: int, ell: int
+def certify(
+    d: Digraph, p: tuple[int, ...], q: tuple[int, ...], k: int, ell: int
 ) -> TwoBlockCertificate:
-    # Assign the two found paths to the (k, ell) roles.
+    """The certificate of ``c(k, ell)`` made of the u->v vertex tuples ``p``
+    and ``q``, checked by ``verify_certificate`` against ``d``.
+
+    ``p`` takes the ``k`` role if its length fits it, else ``q`` does.  This
+    is the only place that builds a certificate, so every one that leaves
+    the library has been verified.  Raises :class:`StructuralViolation`
+    when the pair fits neither assignment or fails verification.
+    """
     lp, lq = len(p) - 1, len(q) - 1
-    if lp >= k and lq >= ell:
-        return TwoBlockCertificate(u, v, DiPath(p), DiPath(q), k, ell)
-    if lq >= k and lp >= ell:
-        return TwoBlockCertificate(u, v, DiPath(q), DiPath(p), k, ell)
-    raise StructuralViolation("internal: path pair does not fit the requested roles")
-
-
-def _checked(
-    d: Digraph, cert: TwoBlockCertificate, k: int, ell: int
-) -> TwoBlockCertificate:
-    # Every certificate is re-verified before it leaves this module.
+    if not (lp >= k and lq >= ell) and lq >= k and lp >= ell:
+        p, q = q, p
+    cert = TwoBlockCertificate(p[0], p[-1], DiPath(p), DiPath(q), k, ell)
     if not verify_certificate(d, cert, k, ell):
         raise StructuralViolation(
             f"internal: certificate for c({k}, {ell}) failed verification"
@@ -580,8 +580,7 @@ def find_two_block_cycle(
             searched += 1
             pair = _pair_search(d, u, v, region, kk, ll)
             if pair is not None:
-                cert = _certificate(u, v, pair[0], pair[1], k, ell)
-                return _checked(d, cert, k, ell)
+                return certify(d, *pair, k, ell)
     return AbsenceReport(k, ell, "exhaustive", searched)
 
 
@@ -605,8 +604,7 @@ def _heuristic_find(
         budget = [_HEURISTIC_BUDGET]
         pair = _pair_search(d, u, v, region, kk, ll, rng=rng, budget=budget)
         if pair is not None:
-            cert = _certificate(u, v, pair[0], pair[1], k, ell)
-            return _checked(d, cert, k, ell)
+            return certify(d, *pair, k, ell)
     return AbsenceReport(k, ell, "capped", tries)
 
 
@@ -697,8 +695,7 @@ def find_two_block_cycle_through_arc(
                 if prefix is not None:
                     p = (*prefix, a, *walk[: turn + 1])
                     q = (z, *reversed(walk[turn:]))
-                    cert = _certificate(z, walk[turn], p, q, k, ell)
-                    return _checked(d, cert, k, ell)
+                    return certify(d, p, q, k, ell)
             if z == a:
                 continue
         elif not (
@@ -789,9 +786,9 @@ def crossing_chord_case(
     ``chord1`` joins ``{u, v}`` and ``chord2`` joins ``{x, y}`` with ``x``
     strictly inside the cycle segment from ``u`` to ``v`` and ``y`` strictly
     inside the opposite segment.  With ``|uCx| >= k - 1`` and
-    ``|vCy| >= ell - 1`` the four orientation cases either force a verified
-    two-block cycle built from the named segments, or land in one of the two
-    exceptional equality patterns.
+    ``|vCy| >= ell - 1`` the four orientation cases either force a two-block
+    cycle built from the named segments, certified against the cycle plus
+    the two chords, or land in one of the two exceptional equality patterns.
 
     The ``u``/``v`` role assignment defaults to ``chord1`` read as
     ``(u, v)``; pass them explicitly to pick the opposite reading.
@@ -830,23 +827,15 @@ def crossing_chord_case(
         )
     uv_forward = chord1 == (u, v)
     xy_forward = chord2 == (x, y)
-
+    host = build_digraph(max(c.vertices) + 1, (*c.arcs(), chord1, chord2))
     if uv_forward and xy_forward:
-        path_k = DiPath(ucx.vertices + (y,))
-        path_l = DiPath((u,) + vcy.vertices)
-        return TwoBlockCertificate(u, y, path_k, path_l, k, ell)
-    if uv_forward and not xy_forward:
+        return certify(host, ucx.vertices + (y,), (u,) + vcy.vertices, k, ell)
+    if uv_forward:
         if a_len == k - 1:
             return CrossingException("a")
-        path_k = ucx
-        path_l = DiPath((u,) + vcy.vertices + (x,))
-        return TwoBlockCertificate(u, x, path_k, path_l, k, ell)
-    if not uv_forward and xy_forward:
+        return certify(host, ucx.vertices, (u,) + vcy.vertices + (x,), k, ell)
+    if xy_forward:
         if b_len == ell - 1:
             return CrossingException("b")
-        path_k = DiPath((v,) + ucx.vertices + (y,))
-        path_l = vcy
-        return TwoBlockCertificate(v, y, path_k, path_l, k, ell)
-    path_k = DiPath((v,) + ucx.vertices)
-    path_l = DiPath(vcy.vertices + (x,))
-    return TwoBlockCertificate(v, x, path_k, path_l, k, ell)
+        return certify(host, (v,) + ucx.vertices + (y,), vcy.vertices, k, ell)
+    return certify(host, (v,) + ucx.vertices, vcy.vertices + (x,), k, ell)

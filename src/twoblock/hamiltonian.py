@@ -10,7 +10,7 @@ colors.
 
 Any certificate discovered on a shortcut digraph is replayed back through the
 added arcs (each replaced by the two-arc detour through its deleted vertex)
-and re-verified level by level.
+and certified level by level.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from .detection import (
     DEFAULT_DETECT_CAP,
     AbsenceReport,
     TwoBlockCertificate,
+    certify,
     find_two_block_cycle,
-    verify_certificate,
 )
-from .digraph import Digraph, DiCycle, DiPath, cycle_in, induced, underlying_graph
+from .digraph import Digraph, DiCycle, cycle_in, induced, underlying_graph
 from .errors import (
     CapExceeded,
     NotHamiltonian,
@@ -124,7 +124,7 @@ def ham_degeneracy_order(
             found = find_two_block_cycle(sub, k, ell, cap=cap, strict=strict)
             if isinstance(found, AbsenceReport):
                 raise _no_certificate(found, sub.n, cap)
-            return _replay_certificate(found, corr, rounds, k, ell)
+            return _replay_certificate(found, corr, level, rounds, k, ell)
         w = min(low)
         i = cycle.index(w)
         shortcut = (cycle[i - 1], cycle[(i + 1) % len(cycle)])
@@ -143,24 +143,22 @@ def ham_degeneracy_order(
 def _replay_certificate(
     found: TwoBlockCertificate,
     corr: tuple[int, ...],
+    level: Digraph,
     rounds: list[tuple[Digraph, int, tuple[int, int] | None]],
     k: int,
     ell: int,
 ) -> TwoBlockCertificate:
-    """Map a certificate found on a relabeled level back to the input's ids,
-    then lift it through the shortcut rounds, verifying it at every stored
-    level; the first round stored the input digraph itself."""
+    """Map a certificate found on a relabeled copy of ``level`` back to the
+    input's ids and certify it on ``level``, then lift it through the
+    shortcut rounds, certifying it at every stored level; the first round
+    stored the input digraph itself."""
     a = tuple(corr[x] for x in found.path_a.vertices)
     b = tuple(corr[x] for x in found.path_b.vertices)
-    cert = TwoBlockCertificate(a[0], a[-1], DiPath(a), DiPath(b), k, ell)
+    cert = certify(level, a, b, k, ell)
     for level, deleted, shortcut in reversed(rounds):
         if shortcut is not None:
             a, b = _expand_arc(a, shortcut, deleted), _expand_arc(b, shortcut, deleted)
-            cert = TwoBlockCertificate(a[0], a[-1], DiPath(a), DiPath(b), k, ell)
-        if not verify_certificate(level, cert, k, ell):
-            raise StructuralViolation(
-                "certificate replay failed verification at a shortcut level"
-            )
+        cert = certify(level, a, b, k, ell)
     return cert
 
 

@@ -36,10 +36,10 @@ from .detection import (
     DEFAULT_CYCLE_CAP,
     TwoBlockCertificate,
     _paths,
+    certify,
     find_two_block_cycle,
     longest_cycle,
     raised_cap,
-    verify_certificate,
 )
 from .digraph import (
     Digraph,
@@ -115,7 +115,6 @@ def build_contraction_trace(
     *,
     detect_cap: int | None = None,
     strict: bool = True,
-    seed: int = 0,
 ) -> ContractionTrace | TwoBlockCertificate:
     """Contract longest cycles until the digraph is ``(2k-3)``-colorable.
 
@@ -134,7 +133,7 @@ def build_contraction_trace(
     cur = d
     prev_len: int | None = None
     while True:
-        found = find_two_block_cycle(cur, k, ell, cap=detect_cap, strict=strict, seed=seed)
+        found = find_two_block_cycle(cur, k, ell, cap=detect_cap, strict=strict)
         if isinstance(found, TwoBlockCertificate):
             for step in reversed(steps):
                 found = _uncontract_certificate(found, step, k, ell)
@@ -188,12 +187,7 @@ def _uncontract_certificate(
         a = cycle_segment(cyc, b[0], a[0]).vertices + a[1:]
     if a[-1] != b[-1]:
         a = a[:-1] + cycle_segment(cyc, a[-1], b[-1]).vertices
-    lifted = TwoBlockCertificate(a[0], a[-1], DiPath(a), DiPath(b), k, ell)
-    if not verify_certificate(d_i, lifted, k, ell):
-        raise StructuralViolation(
-            "certificate lift failed verification at a contraction level"
-        )
-    return lifted
+    return certify(d_i, a, b, k, ell)
 
 
 @dataclass(frozen=True)
@@ -663,13 +657,20 @@ def color_F(f: Digraph, tree: CycleTree, k: int, ell: int) -> Coloring:
             f"F1 coloring used {rho1.palette_size} > {k + 2 * ell - 1} colors"
         )
     pairs = [(rho1.colors[v], labels.labels[v]) for v in range(f.n)]
-    palette = sorted(set(pairs))
-    index = {p: i for i, p in enumerate(palette)}
-    coloring = Coloring(tuple(index[p] for p in pairs), len(palette))
-    if not is_proper(underlying_graph(f), coloring):
-        raise StructuralViolation("class coloring is not proper")
-    if coloring.palette_size > class_palette_bound(k, ell):
-        raise StructuralViolation("class coloring exceeds its palette bound")
+    return _product_coloring(f, pairs, class_palette_bound(k, ell), "class")
+
+
+def _product_coloring(
+    d: Digraph, pairs: list[tuple[int, int]], bound: int, what: str
+) -> Coloring:
+    """Color vertex ``v`` of ``d`` by the rank of ``pairs[v]`` among the
+    distinct pairs, checked proper and within ``bound`` colors."""
+    index = {p: i for i, p in enumerate(sorted(set(pairs)))}
+    coloring = Coloring(tuple(index[p] for p in pairs), len(index))
+    if not is_proper(underlying_graph(d), coloring):
+        raise StructuralViolation(f"{what} coloring is not proper")
+    if coloring.palette_size > bound:
+        raise StructuralViolation(f"{what} coloring exceeds its palette bound {bound}")
     return coloring
 
 
@@ -696,12 +697,9 @@ def run_pipeline(
     *,
     detect_cap: int | None = None,
     strict: bool = True,
-    seed: int = 0,
 ) -> PipelineRun | TwoBlockCertificate:
     """Full pipeline: trace, per-class cycle-trees, product colorings, merge."""
-    result = build_contraction_trace(
-        d, k, ell, detect_cap=detect_cap, strict=strict, seed=seed
-    )
+    result = build_contraction_trace(d, k, ell, detect_cap=detect_cap, strict=strict)
     if isinstance(result, TwoBlockCertificate):
         return result
     trace = result
@@ -728,13 +726,9 @@ def run_pipeline(
             combined[orig_v] = (base.colors[s], col_f.colors[i])
     if any(c is None for c in combined):
         raise StructuralViolation("a vertex of the input received no color")
-    palette = sorted(set(combined))  # type: ignore[arg-type]
-    index = {p: i for i, p in enumerate(palette)}
-    coloring = Coloring(tuple(index[c] for c in combined), len(palette))
-    if not is_proper(underlying_graph(d), coloring):
-        raise StructuralViolation("final coloring is not proper")
-    if coloring.palette_size > palette_bound(k, ell):
-        raise StructuralViolation("final coloring exceeds the palette bound")
+    coloring = _product_coloring(
+        d, combined, palette_bound(k, ell), "final"  # type: ignore[arg-type]
+    )
     return PipelineRun(k, ell, trace, tuple(members), tuple(palettes), coloring)
 
 
@@ -745,11 +739,10 @@ def color_strong_digraph(
     *,
     detect_cap: int | None = None,
     strict: bool = True,
-    seed: int = 0,
 ) -> Coloring | TwoBlockCertificate:
     """Verified proper coloring within ``2(2k-3)(k+2l-1)`` colors, or the
     certificate showing the input was not ``c(k, ell)``-free."""
-    result = run_pipeline(d, k, ell, detect_cap=detect_cap, strict=strict, seed=seed)
+    result = run_pipeline(d, k, ell, detect_cap=detect_cap, strict=strict)
     if isinstance(result, TwoBlockCertificate):
         return result
     return result.coloring

@@ -133,7 +133,8 @@ class TestFindTwoBlockCycle:
 
     def test_unfitting_path_pair_raises(self):
         with pytest.raises(StructuralViolation):
-            detection._certificate(0, 2, (0, 2), (0, 1, 2), 3, 1)
+            d = build_digraph(3, [(0, 1), (1, 2), (0, 2)])
+            detection.certify(d, (0, 2), (0, 1, 2), 3, 1)
 
 
 def full_region(d, u, v):
