@@ -32,7 +32,6 @@ from .detection import (
 from .digraph import (
     Digraph,
     DiCycle,
-    DiPath,
     PreimageMap,
     UGraph,
     build_digraph,

@@ -124,6 +124,8 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_ham_color(args) -> int:
+    if args.k < 1 or args.ell < 1:
+        raise PreconditionViolated("k and ell must be positive")
     d = io.read_edge_list(args.file)
     cap = _resolve_cap(args)
     ham = hamiltonian_cycle(d, cap=raised_cap(cap, DEFAULT_CYCLE_CAP))
@@ -148,7 +150,7 @@ def _induced_cycle_check(args, d: Digraph, ham: DiCycle) -> int:
         _, coloring = chromatic_number(underlying_graph(d))
         _emit_coloring(args, d, coloring)
         return EXIT_OK
-    cert = certify(d, chord, cycle_segment(ham, *chord).vertices, 1, 1)
+    cert = certify(d, chord, cycle_segment(ham, *chord), 1, 1)
     print("input contains a two-block cycle; certificate follows")
     print(io.to_json(cert.to_json_dict()))
     return EXIT_OK
@@ -215,6 +217,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_bondy_check(args) -> int:
+    if args.max_n < 3:
+        raise PreconditionViolated("--max-n must be at least 3")
     instances = []
     for i in range(args.count):
         n = 3 + (i % (args.max_n - 2))

@@ -56,7 +56,6 @@ from typing import Iterator
 from .digraph import (
     Digraph,
     DiCycle,
-    DiPath,
     build_digraph,
     cycle_segment,
     is_strong,
@@ -93,8 +92,8 @@ class TwoBlockCertificate:
 
     u: int
     v: int
-    path_a: DiPath
-    path_b: DiPath
+    path_a: tuple[int, ...]
+    path_b: tuple[int, ...]
     k_req: int
     ell_req: int
 
@@ -102,8 +101,8 @@ class TwoBlockCertificate:
         return {
             "u": self.u,
             "v": self.v,
-            "path_a": list(self.path_a.vertices),
-            "path_b": list(self.path_b.vertices),
+            "path_a": list(self.path_a),
+            "path_b": list(self.path_b),
             "k": self.k_req,
             "ell": self.ell_req,
         }
@@ -152,7 +151,7 @@ def verify_certificate(
     and ``path_b`` at least ``ell``; and every arc is in ``d``.
     """
     n, u, v = d.n, cert.u, cert.v
-    p, q = cert.path_a.vertices, cert.path_b.vertices
+    p, q = cert.path_a, cert.path_b
     pmask = qmask = 0
     for x in p:
         if not 0 <= x < n:
@@ -188,13 +187,15 @@ def certify(
 
     ``p`` takes the ``k`` role if its length fits it, else ``q`` does.  This
     is the only place that builds a certificate, so every one that leaves
-    the library has been verified.  Raises :class:`StructuralViolation`
-    when the pair fits neither assignment or fails verification.
+    the library has been verified.  Raises :class:`StructuralViolation`,
+    and nothing else, for any pair the verifier rejects (empty tuples and
+    repeated or out-of-range vertices included).
     """
     lp, lq = len(p) - 1, len(q) - 1
     if not (lp >= k and lq >= ell) and lq >= k and lp >= ell:
         p, q = q, p
-    cert = TwoBlockCertificate(p[0], p[-1], DiPath(p), DiPath(q), k, ell)
+    ends = p or (-1,)  # -1 is out of range, so the verifier rejects it
+    cert = TwoBlockCertificate(ends[0], ends[-1], p, q, k, ell)
     if not verify_certificate(d, cert, k, ell):
         raise StructuralViolation(
             f"internal: certificate for c({k}, {ell}) failed verification"
@@ -809,8 +810,8 @@ def crossing_chord_case(
         t, h = chord
         if c.successor(t) == h or c.successor(h) == t:
             raise NotAChord(f"{chord} is an arc of the cycle")
-    seg_uv = set(cycle_segment(c, u, v).vertices) - {u, v}
-    seg_vu = set(cycle_segment(c, v, u).vertices) - {u, v}
+    seg_uv = set(cycle_segment(c, u, v)) - {u, v}
+    seg_vu = set(cycle_segment(c, v, u)) - {u, v}
     inside = x_cand & seg_uv
     outside = x_cand & seg_vu
     if len(inside) != 1 or len(outside) != 1:
@@ -820,7 +821,7 @@ def crossing_chord_case(
     x, y = inside.pop(), outside.pop()
     ucx = cycle_segment(c, u, x)
     vcy = cycle_segment(c, v, y)
-    a_len, b_len = ucx.length, vcy.length
+    a_len, b_len = len(ucx) - 1, len(vcy) - 1
     if a_len < k - 1 or b_len < ell - 1:
         raise PreconditionViolated(
             f"need |uCx| >= {k - 1} and |vCy| >= {ell - 1}, got {a_len}, {b_len}"
@@ -829,13 +830,13 @@ def crossing_chord_case(
     xy_forward = chord2 == (x, y)
     host = build_digraph(max(c.vertices) + 1, (*c.arcs(), chord1, chord2))
     if uv_forward and xy_forward:
-        return certify(host, ucx.vertices + (y,), (u,) + vcy.vertices, k, ell)
+        return certify(host, ucx + (y,), (u,) + vcy, k, ell)
     if uv_forward:
         if a_len == k - 1:
             return CrossingException("a")
-        return certify(host, ucx.vertices, (u,) + vcy.vertices + (x,), k, ell)
+        return certify(host, ucx, (u,) + vcy + (x,), k, ell)
     if xy_forward:
         if b_len == ell - 1:
             return CrossingException("b")
-        return certify(host, (v,) + ucx.vertices + (y,), vcy.vertices, k, ell)
-    return certify(host, (v,) + ucx.vertices, vcy.vertices + (x,), k, ell)
+        return certify(host, (v,) + ucx + (y,), vcy, k, ell)
+    return certify(host, (v,) + ucx, vcy + (x,), k, ell)

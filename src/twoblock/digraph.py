@@ -134,38 +134,6 @@ class UGraph:
 
 
 @dataclass(frozen=True)
-class DiPath:
-    """A directed path given by its vertex sequence (length = number of arcs)."""
-
-    vertices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.vertices:
-            raise EmptySet("a path has at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise DuplicateArc(f"path visits a vertex twice: {self.vertices}")
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    @property
-    def start(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def end(self) -> int:
-        return self.vertices[-1]
-
-    def interior(self) -> frozenset[int]:
-        return frozenset(self.vertices[1:-1])
-
-    def arcs(self) -> tuple[tuple[int, int], ...]:
-        vs = self.vertices
-        return tuple((vs[i], vs[i + 1]) for i in range(len(vs) - 1))
-
-
-@dataclass(frozen=True)
 class DiCycle:
     """A directed cycle as a cyclically ordered vertex sequence.
 
@@ -370,19 +338,17 @@ def reverse(d: Digraph) -> Digraph:
     return Digraph(d.n, frozenset((head, tail) for tail, head in d.arcs))
 
 
-def cycle_segment(c: DiCycle, u: int, v: int) -> DiPath:
-    """The subpath of ``c`` from ``u`` to ``v`` along the cycle.
+def cycle_segment(c: DiCycle, u: int, v: int) -> tuple[int, ...]:
+    """The vertex tuple of the subpath of ``c`` from ``u`` to ``v``.
 
-    ``u == v`` gives the zero-length path at ``u``.
+    ``u == v`` gives the zero-length path ``(u,)``.
     """
     i = c.index(u)
     j = c.index(v)
     vs = c.vertices
-    if i == j:
-        return DiPath((u,))
-    if j > i:
-        return DiPath(vs[i : j + 1])
-    return DiPath(vs[i:] + vs[: j + 1])
+    if j >= i:
+        return vs[i : j + 1]
+    return vs[i:] + vs[: j + 1]
 
 
 def cycle_in(d: Digraph, c: DiCycle) -> bool:

@@ -152,8 +152,8 @@ def _replay_certificate(
     input's ids and certify it on ``level``, then lift it through the
     shortcut rounds, certifying it at every stored level; the first round
     stored the input digraph itself."""
-    a = tuple(corr[x] for x in found.path_a.vertices)
-    b = tuple(corr[x] for x in found.path_b.vertices)
+    a = tuple(corr[x] for x in found.path_a)
+    b = tuple(corr[x] for x in found.path_b)
     cert = certify(level, a, b, k, ell)
     for level, deleted, shortcut in reversed(rounds):
         if shortcut is not None:

@@ -262,6 +262,8 @@ def random_hamiltonian_min_degree(n: int, min_degree: int, seed: int) -> Digraph
     Starts from the directed cycle 0 -> 1 -> ... -> n-1 -> 0 and keeps adding
     random non-arcs until every underlying degree reaches ``min_degree``.
     """
+    if n < 2:
+        raise PreconditionViolated("need n >= 2 (a cycle on one vertex is a loop)")
     if min_degree > n - 1:
         raise PreconditionViolated("min_degree cannot exceed n - 1")
     rng = random.Random(seed)

@@ -44,7 +44,6 @@ from .detection import (
 from .digraph import (
     Digraph,
     DiCycle,
-    DiPath,
     PreimageMap,
     contract,
     cycle_in,
@@ -180,13 +179,13 @@ def _uncontract_certificate(
         enter = [w for w in members if before and d_i.has_arc(before[-1], w)]
         leave = [w for w in members if after and d_i.has_arc(w, after[0])]
         detour = cycle_segment(cyc, min(enter or leave), min(leave or enter))
-        return before + detour.vertices + after
+        return before + detour + after
 
-    a, b = splice(cert.path_a.vertices), splice(cert.path_b.vertices)
+    a, b = splice(cert.path_a), splice(cert.path_b)
     if a[0] != b[0]:
-        a = cycle_segment(cyc, b[0], a[0]).vertices + a[1:]
+        a = cycle_segment(cyc, b[0], a[0]) + a[1:]
     if a[-1] != b[-1]:
-        a = a[:-1] + cycle_segment(cyc, a[-1], b[-1]).vertices
+        a = a[:-1] + cycle_segment(cyc, a[-1], b[-1])
     return certify(d_i, a, b, k, ell)
 
 
@@ -257,8 +256,8 @@ def cycle_path(tree: CycleTree, i: int, j: int) -> tuple[int, ...]:
     return tuple(path)
 
 
-def tree_path(tree: CycleTree, u: int, v: int) -> DiPath:
-    """The directed path from ``u`` to ``v`` inside the cycle-tree.
+def tree_path(tree: CycleTree, u: int, v: int) -> tuple[int, ...]:
+    """The vertices of the directed path from ``u`` to ``v`` in the cycle-tree.
 
     Uniqueness is part of the cycle-tree promise and is checked here rather
     than assumed: the path kernel of :mod:`detection` enumerates up to two
@@ -266,7 +265,7 @@ def tree_path(tree: CycleTree, u: int, v: int) -> DiPath:
     :class:`StructuralViolation`.
     """
     if u == v:
-        return DiPath((u,))
+        return (u,)
     t = Digraph(tree.n, tree.arc_set)
     full = (1 << tree.n) - 1
     found = [
@@ -277,7 +276,7 @@ def tree_path(tree: CycleTree, u: int, v: int) -> DiPath:
             f"expected a unique tree path {u}->{v}, found "
             + ("two or more" if found else "none")
         )
-    return DiPath(found[0])
+    return found[0]
 
 
 def _build_cycle_tree(n: int, ordered: list[list[int]]) -> CycleTree:
@@ -467,7 +466,7 @@ def phi_labeling(f: Digraph, tree: CycleTree, ell: int) -> PhiLabels:
             raise StructuralViolation(
                 "home cycle's parent vertex coincides with the vertex itself"
             )
-        dist = cycle_segment(tree.cycles[home], v, p).length
+        dist = len(cycle_segment(tree.cycles[home], v, p)) - 1
         labels.append(1 if dist <= ell - 2 else 0)
     return PhiLabels(tuple(labels), homes)
 
@@ -517,8 +516,8 @@ def validate_structure(
         cx, cy, lam = _closest_cycle_pair(tree, x, y)
         u = _shared_vertex(tree, lam[0], lam[1])
         v = _shared_vertex(tree, lam[-2], lam[-1])
-        back1 = tree_path(tree, v, x).length
-        back2 = tree_path(tree, y, u).length
+        back1 = len(tree_path(tree, v, x)) - 1
+        back2 = len(tree_path(tree, y, u)) - 1
         if back1 > ell - 2 or back2 > ell - 2:
             raise StructuralViolation(
                 f"external arc ({x},{y}): backward paths {back1},{back2} "

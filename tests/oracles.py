@@ -95,29 +95,26 @@ def oracle_two_block(d: Digraph, k: int, ell: int) -> bool:
 
 
 def oracle_verify_certificate(d: Digraph, cert, k: int, ell: int) -> bool:
-    """The object-based certificate check: vertex sets, ``DiPath`` interiors
-    and arcs looked up in ``d.arcs``, with every vertex range-checked first."""
+    """The set-based certificate check: vertex sets, path interiors and arcs
+    looked up in ``d.arcs``, with every vertex range-checked first."""
     a, b = cert.path_a, cert.path_b
-    vertices = set(range(d.n))
-    if not set(a.vertices) <= vertices or not set(b.vertices) <= vertices:
+    if not set(a) | set(b) <= set(range(d.n)):
         return False
-    if cert.u == cert.v:
+    if not a or not b or cert.u == cert.v:
         return False
-    if a.start != cert.u or b.start != cert.u:
+    if a[0] != cert.u or b[0] != cert.u:
         return False
-    if a.end != cert.v or b.end != cert.v:
+    if a[-1] != cert.v or b[-1] != cert.v:
         return False
-    if a.vertices == b.vertices:
+    if a == b:
         return False
-    if len(set(a.vertices)) != len(a.vertices):
+    if len(set(a)) != len(a) or len(set(b)) != len(b):
         return False
-    if len(set(b.vertices)) != len(b.vertices):
+    if set(a[1:-1]) & set(b[1:-1]):
         return False
-    if a.interior() & b.interior():
+    if len(a) - 1 < k or len(b) - 1 < ell:
         return False
-    if a.length < k or b.length < ell:
-        return False
-    return all(arc in d.arcs for arc in a.arcs() + b.arcs())
+    return set(zip(a, a[1:])) | set(zip(b, b[1:])) <= d.arcs
 
 
 def reaches(adj: dict[int, list[int]], u: int, v: int, allowed: set[int]) -> bool:

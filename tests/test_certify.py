@@ -112,6 +112,27 @@ def test_chord_check_exits_internal_when_verification_fails(
     assert "failed verification" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ((), (0, 3)),
+        ((0, 3), ()),
+        ((0, 1, 0, 1, 2, 3), (0, 3)),
+        ((0, 1, 2, 3), (0, 9, 3)),
+        ((0, -1, 3), (0, 1, 2, 3)),
+    ],
+    ids=["empty p", "empty q", "repeated vertex", "beyond n", "negative vertex"],
+)
+def test_certify_rejects_malformed_tuples_with_structural_violation(p, q):
+    # Only the verifier judges the tuples, so a malformed pair raises
+    # StructuralViolation; any other exception type escapes and fails here.
+    d = chorded_cycle(4, (0, 3), (1, 3), (0, 2))
+    good = detection.certify(d, (0, 1, 2, 3), (0, 3), 1, 1)
+    assert isinstance(good, TwoBlockCertificate)
+    with pytest.raises(StructuralViolation, match="failed verification"):
+        detection.certify(d, p, q, 1, 1)
+
+
 def test_certificates_are_built_only_in_certify():
     # Every call of ``TwoBlockCertificate`` (by name or attribute) in the
     # library, with the innermost function around it.

@@ -175,6 +175,15 @@ class TestCommands:
         assert main(["ham-color", "--k", "1", "--ell", "1", c5_chord_file]) == 0
         assert "certificate" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("k, ell", [(0, 2), (-3, 5), (2, 0), (0, 3)])
+    def test_ham_color_rejects_nonpositive_k_ell(self, k, ell, tmp_path, capsys):
+        # checked before the k + ell == 2 route and before any colouring
+        arcs = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
+        path = write_graph(tmp_path, "c4c.edges", 4, arcs)
+        assert main(["ham-color", "--k", str(k), "--ell", str(ell), path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "k and ell must be positive" in captured.err
+
     def test_ham_color_non_hamiltonian(self, tmp_path, capsys):
         path = write_graph(tmp_path, "s.edges", 3, [(0, 1), (0, 2)])
         assert main(["ham-color", "--k", "2", "--ell", "1", path]) == 3
@@ -225,6 +234,11 @@ class TestCommands:
     def test_bondy_check(self, capsys):
         assert main(["bondy-check", "--count", "12", "--max-n", "8", "--seed", "1"]) == 0
         assert "0 violations" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("max_n", ["2", "1", "0", "-4"])
+    def test_bondy_check_max_n_below_three(self, max_n, capsys):
+        assert main(["bondy-check", "--count", "3", "--max-n", max_n]) == 3
+        assert "--max-n must be at least 3" in capsys.readouterr().err
 
     def test_bw_audit(self, tmp_path, capsys):
         out = tmp_path / "bw.csv"

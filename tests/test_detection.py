@@ -26,7 +26,6 @@ from twoblock.detection import (
 from twoblock.coloring import chromatic_number
 from twoblock.digraph import (
     DiCycle,
-    DiPath,
     Digraph,
     build_digraph,
     is_strong,
@@ -81,8 +80,8 @@ class TestFindTwoBlockCycle:
         d = c5_with_chord()
         cert = find_two_block_cycle(d, 2, 1)
         assert isinstance(cert, TwoBlockCertificate)
-        assert cert.path_a.vertices == (0, 1, 2)
-        assert cert.path_b.vertices == (0, 2)
+        assert cert.path_a == (0, 1, 2)
+        assert cert.path_b == (0, 2)
         assert verify_certificate(d, cert, 2, 1)
 
     def test_bad_parameters(self, fig1):
@@ -332,8 +331,8 @@ class TestIterativeSearches:
         d = Digraph(1200, directed_cycle(1200).arcs | {(2, 0)})
         cert = find_two_block_cycle_through_arc(d, 2, 1, (2, 0))
         assert (cert.u, cert.v) == (2, 0)
-        assert cert.path_a.vertices == (*range(2, 1200), 0)
-        assert cert.path_b.vertices == (2, 0)
+        assert cert.path_a == (*range(2, 1200), 0)
+        assert cert.path_b == (2, 0)
         assert find_two_block_cycle_through_arc(d, 2, 2, (2, 0)) is None
 
     def test_searches_leave_no_reference_cycles(self, fig1):
@@ -389,34 +388,34 @@ def test_heuristic_certificates_are_pinned(
 class TestVerifyCertificate:
     def test_good_certificate(self):
         d = c5_with_chord()
-        cert = TwoBlockCertificate(0, 2, DiPath((0, 1, 2)), DiPath((0, 2)), 2, 1)
+        cert = TwoBlockCertificate(0, 2, (0, 1, 2), (0, 2), 2, 1)
         assert verify_certificate(d, cert, 2, 1)
 
     def test_shared_interior_rejected(self):
         d = build_digraph(4, [(0, 1), (1, 2), (0, 3), (3, 2), (1, 3)])
-        cert = TwoBlockCertificate(0, 2, DiPath((0, 1, 2)), DiPath((0, 1, 3, 2)), 2, 1)
+        cert = TwoBlockCertificate(0, 2, (0, 1, 2), (0, 1, 3, 2), 2, 1)
         assert not verify_certificate(d, cert, 2, 1)
 
     def test_short_path_rejected(self):
         d = c5_with_chord()
-        cert = TwoBlockCertificate(0, 2, DiPath((0, 1, 2)), DiPath((0, 2)), 2, 2)
+        cert = TwoBlockCertificate(0, 2, (0, 1, 2), (0, 2), 2, 2)
         assert not verify_certificate(d, cert, 2, 2)
 
     def test_identical_paths_rejected(self):
         d = build_digraph(2, [(0, 1)])
-        cert = TwoBlockCertificate(0, 1, DiPath((0, 1)), DiPath((0, 1)), 1, 1)
+        cert = TwoBlockCertificate(0, 1, (0, 1), (0, 1), 1, 1)
         assert not verify_certificate(d, cert, 1, 1)
 
     def test_missing_arc_rejected(self):
         d = directed_cycle(5)
-        cert = TwoBlockCertificate(0, 2, DiPath((0, 1, 2)), DiPath((0, 2)), 2, 1)
+        cert = TwoBlockCertificate(0, 2, (0, 1, 2), (0, 2), 2, 1)
         assert not verify_certificate(d, cert, 2, 1)
 
     def test_repeated_vertex_rejected(self):
         # Every arc of the walk 0 1 2 1 3 exists; only simplicity fails.
         d = build_digraph(4, [(0, 1), (1, 2), (2, 1), (1, 3), (0, 3)])
-        walk = raw_path((0, 1, 2, 1, 3))
-        cert = TwoBlockCertificate(0, 3, walk, DiPath((0, 3)), 2, 1)
+        walk = (0, 1, 2, 1, 3)
+        cert = TwoBlockCertificate(0, 3, walk, (0, 3), 2, 1)
         assert not verify_certificate(d, cert, 2, 1)
         assert not oracle_verify_certificate(d, cert, 2, 1)
 
@@ -428,7 +427,7 @@ class TestVerifyCertificate:
             ((0, 1, 2), (0, -3, 2), 0, 2),
             ((0, 1, -3), (0, -3), 0, -3),
         ]:
-            cert = TwoBlockCertificate(u, v, DiPath(p), DiPath(q), 1, 1)
+            cert = TwoBlockCertificate(u, v, p, q, 1, 1)
             assert not verify_certificate(d, cert, 1, 1)
 
     def test_vertices_beyond_n_rejected(self):
@@ -438,26 +437,18 @@ class TestVerifyCertificate:
             ((0, 1, 2), (0, 9, 2), 0, 2),
             ((7, 1, 2), (7, 2), 7, 2),
         ]:
-            cert = TwoBlockCertificate(u, v, DiPath(p), DiPath(q), 1, 1)
+            cert = TwoBlockCertificate(u, v, p, q, 1, 1)
             assert not verify_certificate(d, cert, 1, 1)
-
-
-def raw_path(vertices):
-    # A DiPath that skips the constructor's checks, as a corrupted
-    # certificate might carry one.
-    path = object.__new__(DiPath)
-    object.__setattr__(path, "vertices", tuple(vertices))
-    return path
 
 
 def mutants(d, cert):
     # Single-vertex mutations of a valid certificate, each with the digraph,
     # k and ell to check it against.
-    p, q = cert.path_a.vertices, cert.path_b.vertices
+    p, q = cert.path_a, cert.path_b
     u, v, k, ell = cert.u, cert.v, cert.k_req, cert.ell_req
 
     def with_paths(pp, qq, uu=u, vv=v):
-        return TwoBlockCertificate(uu, vv, raw_path(pp), raw_path(qq), k, ell)
+        return TwoBlockCertificate(uu, vv, pp, qq, k, ell)
 
     def with_middle(x):
         # The path with an interior vertex has its middle vertex set to x.
@@ -496,7 +487,7 @@ def test_verifier_matches_oracle_on_certificates_and_mutants():
                             continue
                         k = rng.randint(1, len(p) - 1)
                         ell = rng.randint(1, len(q) - 1)
-                        cert = TwoBlockCertificate(u, v, DiPath(p), DiPath(q), k, ell)
+                        cert = TwoBlockCertificate(u, v, p, q, k, ell)
                         assert verify_certificate(d, cert, k, ell)
                         assert oracle_verify_certificate(d, cert, k, ell)
                         valid += 1
@@ -515,7 +506,7 @@ def test_verifier_matches_oracle_on_random_vertex_tuples(d, data):
     q = data.draw(st.lists(vertex, min_size=1, max_size=d.n + 1))
     u, v = data.draw(vertex), data.draw(vertex)
     k, ell = data.draw(st.integers(0, d.n)), data.draw(st.integers(0, d.n))
-    cert = TwoBlockCertificate(u, v, raw_path(p), raw_path(q), k, ell)
+    cert = TwoBlockCertificate(u, v, tuple(p), tuple(q), k, ell)
     assert verify_certificate(d, cert, k, ell) == oracle_verify_certificate(
         d, cert, k, ell
     )
@@ -595,8 +586,8 @@ class TestCrossingChordCase:
         c = self._cycle()
         out = crossing_chord_case(c, (0, 4), (2, 6), 3, 3)
         assert isinstance(out, TwoBlockCertificate)
-        assert out.path_a.vertices == (0, 1, 2, 6)
-        assert out.path_b.vertices == (0, 4, 5, 6)
+        assert out.path_a == (0, 1, 2, 6)
+        assert out.path_b == (0, 4, 5, 6)
         assert verify_certificate(self._host(8, (0, 4), (2, 6)), out, 3, 3)
 
     def test_exception_a(self):
@@ -684,7 +675,8 @@ def test_through_arc_matches_oracle_on_every_missing_arc(d, k, ell):
         assert (cert is not None) == oracle_two_block(bigger, k, ell)
         if cert is not None:
             assert oracle_verify_certificate(bigger, cert, k, ell)
-            assert arc in cert.path_a.arcs() + cert.path_b.arcs()
+            p, q = cert.path_a, cert.path_b
+            assert arc in [*zip(p, p[1:]), *zip(q, q[1:])]
 
 
 def test_exhaustive_detection_agrees_with_oracle_small():

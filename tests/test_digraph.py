@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from twoblock.digraph import (
     DiCycle,
-    DiPath,
     Digraph,
     build_digraph,
     contract,
@@ -176,16 +175,15 @@ class TestInduced:
 class TestCycleSegment:
     def test_forward(self):
         c = DiCycle((0, 1, 2, 3))
-        assert cycle_segment(c, 0, 2).vertices == (0, 1, 2)
+        assert cycle_segment(c, 0, 2) == (0, 1, 2)
 
     def test_wraparound(self):
         c = DiCycle((0, 1, 2, 3))
-        assert cycle_segment(c, 2, 0).vertices == (2, 3, 0)
+        assert cycle_segment(c, 2, 0) == (2, 3, 0)
 
     def test_zero_length(self):
         c = DiCycle((0, 1, 2, 3))
-        seg = cycle_segment(c, 1, 1)
-        assert seg.vertices == (1,) and seg.length == 0
+        assert cycle_segment(c, 1, 1) == (1,)
 
     def test_not_on_cycle(self):
         with pytest.raises(NotOnCycle):
@@ -193,13 +191,6 @@ class TestCycleSegment:
 
 
 class TestPathAndCycleTypes:
-    def test_path_length(self):
-        assert DiPath((3, 1, 4)).length == 2
-
-    def test_path_rejects_repeats(self):
-        with pytest.raises(DuplicateArc):
-            DiPath((0, 1, 0))
-
     def test_digon_is_valid_cycle(self):
         c = DiCycle((0, 1))
         assert c.length == 2
@@ -272,4 +263,5 @@ def test_cycle_segment_length_identity(n, data):
     v = data.draw(st.integers(0, n - 1))
     if u == v:
         return
-    assert cycle_segment(c, u, v).length + cycle_segment(c, v, u).length == n
+    # each segment has one arc fewer than vertices
+    assert len(cycle_segment(c, u, v)) + len(cycle_segment(c, v, u)) == n + 2

@@ -182,6 +182,14 @@ class TestRandomGenerators:
         assert hamiltonian_cycle(d) is not None
         assert all(d.underlying_degree(v) >= 4 for v in range(8))
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_min_degree_generator_needs_two_vertices(self, n):
+        # one vertex would need the loop 0 -> 0 as its Hamiltonian cycle
+        with pytest.raises(PreconditionViolated):
+            random_hamiltonian_min_degree(n, 0, seed=0)
+        digon = random_hamiltonian_min_degree(2, 1, seed=0)
+        assert hamiltonian_cycle(digon) is not None
+
     def test_random_strong(self):
         assert is_strong(random_strong_digraph(7, seed=5))
 

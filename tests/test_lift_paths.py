@@ -145,7 +145,7 @@ def test_contraction_lift_exit_tie_break(monkeypatch):
 
     def wrapper(cert, step, k, ell):
         v_s, members = step.new_vertex, step.pmap.of(step.new_vertex)
-        for vs in (cert.path_a.vertices, cert.path_b.vertices):
+        for vs in (cert.path_a, cert.path_b):
             if v_s in vs[:-1]:
                 (succ,) = step.pmap.of(vs[vs.index(v_s) + 1])
                 exits.append(sum(step.digraph.has_arc(w, succ) for w in members))

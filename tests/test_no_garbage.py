@@ -43,4 +43,4 @@ def test_tree_path_rejects_two_paths():
     )
     with pytest.raises(StructuralViolation, match="found two or more"):
         tree_path(bad, 0, 2)
-    assert tree_path(bad, 1, 2).vertices == (1, 2)
+    assert tree_path(bad, 1, 2) == (1, 2)

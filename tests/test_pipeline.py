@@ -13,7 +13,6 @@ from twoblock.coloring import (
 from twoblock.detection import TwoBlockCertificate, verify_certificate
 from twoblock.digraph import (
     DiCycle,
-    DiPath,
     Digraph,
     build_digraph,
     contract,
@@ -155,11 +154,11 @@ class TestCertificateLifting:
             [(0, 1), (1, 2), (2, 0), (3, 0), (2, 4), (3, 5), (5, 4), (3, 4)],
         )
         nxt, step = self._step(d, (0, 1, 2))
-        cert = TwoBlockCertificate(0, 1, DiPath((0, 3, 1)), DiPath((0, 1)), 2, 1)
+        cert = TwoBlockCertificate(0, 1, (0, 3, 1), (0, 1), 2, 1)
         assert verify_certificate(nxt, cert, 2, 1)
         lifted = _uncontract_certificate(cert, step, 2, 1)
         assert verify_certificate(d, lifted, 2, 1)
-        assert lifted.path_a.vertices == (3, 0, 1, 2, 4)
+        assert lifted.path_a == (3, 0, 1, 2, 4)
 
     def test_contracted_vertex_source(self):
         # both certificate paths leave the contracted triangle
@@ -169,7 +168,7 @@ class TestCertificateLifting:
         )
         nxt, step = self._step(d, (0, 1, 2))
         # in nxt: 3->0, 4->1, 5->2, v_S=3; arcs (3,0),(0,1),(3,2),(2,1),(3,1)
-        cert = TwoBlockCertificate(3, 1, DiPath((3, 0, 1)), DiPath((3, 1)), 2, 1)
+        cert = TwoBlockCertificate(3, 1, (3, 0, 1), (3, 1), 2, 1)
         assert verify_certificate(nxt, cert, 2, 1)
         lifted = _uncontract_certificate(cert, step, 2, 1)
         assert verify_certificate(d, lifted, 2, 1)
@@ -180,7 +179,7 @@ class TestCertificateLifting:
             [(0, 1), (1, 2), (2, 0), (3, 4), (4, 0), (3, 5), (5, 1), (3, 1)],
         )
         nxt, step = self._step(d, (0, 1, 2))
-        cert = TwoBlockCertificate(0, 3, DiPath((0, 1, 3)), DiPath((0, 3)), 2, 1)
+        cert = TwoBlockCertificate(0, 3, (0, 1, 3), (0, 3), 2, 1)
         assert verify_certificate(nxt, cert, 2, 1)
         lifted = _uncontract_certificate(cert, step, 2, 1)
         assert verify_certificate(d, lifted, 2, 1)
@@ -230,14 +229,11 @@ class TestExtractCycleTree:
 class TestTreeAndCyclePaths:
     def test_single_cycle_tree_path_is_cycle_segment(self):
         tree = _build_cycle_tree(4, [[0, 1, 2, 3]])
-        assert tree_path(tree, 1, 3).vertices == cycle_segment(
-            tree.cycles[0], 1, 3
-        ).vertices
+        assert tree_path(tree, 1, 3) == cycle_segment(tree.cycles[0], 1, 3)
 
     def test_two_cycles_route_through_shared_vertex(self):
         tree = quad_tree()
-        path = tree_path(tree, 1, 5)
-        assert path.vertices == (1, 2, 3, 0, 4, 5)
+        assert tree_path(tree, 1, 5) == (1, 2, 3, 0, 4, 5)
 
     def test_three_cycle_chain(self):
         tree = _build_cycle_tree(
@@ -249,7 +245,7 @@ class TestTreeAndCyclePaths:
 
     def test_zero_length_tree_path(self):
         tree = quad_tree()
-        assert tree_path(tree, 5, 5).length == 0
+        assert tree_path(tree, 5, 5) == (5,)
 
 
 class TestPhiLabeling:
