@@ -219,6 +219,8 @@ def _cmd_search(args) -> int:
 def _cmd_bondy_check(args) -> int:
     if args.max_n < 3:
         raise PreconditionViolated("--max-n must be at least 3")
+    if args.count < 1:
+        raise PreconditionViolated("--count must be at least 1")
     instances = []
     for i in range(args.count):
         n = 3 + (i % (args.max_n - 2))

@@ -11,8 +11,17 @@ simple u->v paths (or the cycles through u) of a given minimum length in
 depth-first order and prunes with bitmask reachability.  Once the length
 bound can no longer cut a branch, the kernel only asks whether the target
 is still reachable, and that test (``reach_mask`` with ``stop``, also
-used by the Menger gate) stops at the first sight of it.  Exhaustive
-detection searches a pair (u, v) only if it passes a Menger gate: two
+used by the Menger gate) stops at the first sight of it.  The kernel
+takes the set of vertices that reach its target when the caller already
+holds it.  ``_pair_search`` passes its region: the region is the set of
+vertices on some u->v walk, and a vertex's path to v never leaves it.
+Arc-anchored detection passes its cut mask, which at that point is the set
+of vertices that reach a.
+
+Exhaustive detection first decides whether the digraph is strong, with
+two breadth-first searches from vertex 0; if it is, every vertex reaches
+and is reached by all the others, so no per-vertex reachability search is
+run.  It searches a pair (u, v) only if it passes a Menger gate: two
 internally disjoint u->v paths exist iff no single vertex separates u
 from v.  With the arc u->v present the gate is one reachability test per
 pair.  Without it, the vertices on every u->v path are the dominators of
@@ -20,28 +29,37 @@ v from u, and one dominator pass per source answers the gate for all its
 targets (see ``_dominators``).  The arc rule stays per pair: answering it
 from the dominators as well measured slower on the mostly positive sweep
 of labeled 6-tournaments, where many hits come at a source's first pair,
-before any dominator pass is needed.  Exhaustive pair search
-follows a first-step rule: a first path that leaves u by x is paired only
-with second paths that leave u by some y > x, and no first path leaves u
-by its largest out-neighbour.  The first path in lexicographic order that
-has a partner always has all its partners above it: a partner leaving u
-by a smaller vertex would come first and pair with it whatever the
-lengths, so the search would have stopped there.  It also follows a
-partner cut: a partial first path is not extended once no second path of
-``ll`` arcs that leaves u above its first step can avoid it.  Such a second
-path's vertices after u are reached from u's out-neighbours above the step
-and reach v, both off the partial path, so fewer than ``ll`` such vertices
-rule it out for every completion.  The certificate and ``pairs_checked``
-are therefore unchanged (see ``_pair_search``).  Heuristic mode is exempt
-from both rules: it shuffles its order, and its budget and random stream
-are pinned.  Arc-anchored detection searches one oriented cycle through
-the new arc a->b: forward from b, backward along the second path, then
-forward to a with ``_paths`` (see ``find_two_block_cycle_through_arc``).
-No search recurses, so path length is not bounded by the interpreter's
-recursion limit.  Every certificate is built by ``certify``, which
-re-checks it with ``verify_certificate``: on bitmasks, with code of its
-own.  The searches are exponential, but the pruning keeps exhaustive
-proofs comfortable at desk scale.  Beyond the cap, strict mode refuses;
+before any dominator pass is needed.
+
+Exhaustive pair search follows a first-step rule: a first path that
+leaves u by x is paired only with second paths that leave u by some
+y > x, and no first path leaves u by its largest out-neighbour.  The
+first path in lexicographic order that has a partner always has all its
+partners above it: a partner leaving u by a smaller vertex would come
+first and pair with it whatever the lengths, so the search would have
+stopped there.  It also follows a partner cut: a partial first path is
+not extended once no second path of ``ll`` arcs that leaves u above its
+first step can avoid it.  Such a second path's vertices after u are
+reached from u's out-neighbours above the step and reach v, both off the
+partial path, so fewer than ``ll`` such vertices rule it out for every
+completion.  A spanning c(kk, 1) pair, with ll == 1, kk >= 2 and exactly
+kk + 1 vertices between u and v, is decided with one path search: a
+pair's longer path must span those vertices and the shorter one is then
+the arc u->v, so the answer is the arc with the first spanning path, in
+the order the general search finds them.  The certificate and
+``pairs_checked`` are therefore unchanged (see ``_pair_search``); a
+spanning pair still counts as searched, since it passed the gates.
+Heuristic mode is exempt from all three rules: it shuffles its order, and
+its budget and random stream are pinned.
+
+Arc-anchored detection searches one oriented cycle through the new arc
+a->b: forward from b, backward along the second path, then forward to a
+with ``_paths`` (see ``find_two_block_cycle_through_arc``).  No search
+recurses, so path length is not bounded by the interpreter's recursion
+limit.  Every certificate is built by ``certify``, which re-checks it
+with ``verify_certificate``: on bitmasks, with code of its own.  The
+searches are exponential, but the pruning keeps exhaustive proofs
+comfortable at desk scale.  Beyond the cap, strict mode refuses;
 heuristic mode runs the same search under an expansion budget (detection
 also in a random order over a sample of pairs), so its negatives are
 tagged as unverified and its longest cycle is not certified longest.
@@ -228,6 +246,7 @@ def _paths(
     budget: list[int] | None = None,
     first: int = -1,
     partner: int = 0,
+    co: int | None = None,
 ) -> Iterator[list[int]]:
     """Every simple u->v path inside ``allowed`` with at least ``min_len`` arcs
     whose first step lies in ``first``.
@@ -243,8 +262,14 @@ def _paths(
     above the branch's can avoid it (``_no_partner``).  Every expanded
     vertex costs one unit of ``budget``; once it is spent no further vertex
     is expanded.
+
+    ``co`` is the set of vertices that reach ``v`` inside ``allowed``; a
+    caller that already holds it passes it, and the kernel computes it
+    otherwise.  Passing it changes nothing but the cost: it is the same
+    set, and finding it draws no random number and spends no budget.
     """
-    co = reach_mask(in_mask, v, allowed)
+    if co is None:
+        co = reach_mask(in_mask, v, allowed)
     if not (co >> u) & 1:
         return
     if budget is not None:
@@ -418,18 +443,49 @@ def _pair_search(
     branch holds no first path with a partner.  First paths still come in
     the same order, so the answer is unchanged.
 
-    Heuristic mode (``rng`` given) follows neither rule: its shuffled order
-    has no first-step argument, and its budget and RNG stream are pinned.
+    Exhaustive mode decides a spanning c(kk, 1) pair, where ll == 1,
+    kk >= 2 and ``region`` has exactly kk + 1 vertices, with one path
+    search.  The longer path of any pair has at least kk + 1 vertices in
+    ``region``, so it spans the region, and the shorter one, disjoint from
+    its interior, is the arc u->v.  So without that arc there is no pair.
+    With it, the arc's partners are the spanning paths, and a spanning
+    path's one partner is the arc.  No other path has a partner: it has an
+    interior vertex, and it is too short to be the longer path, so its
+    partner would span the region and share that vertex.  Let P be the
+    lexicographically first spanning path.  If P leaves u below v, then
+    P < (u, v) and P is the first path with a partner, paired with the
+    arc.  Otherwise every spanning path leaves u above v, the arc is the
+    first path with a partner, and its first partner is P.  Either way that
+    is the pair of the unpruned search, so it is the pair the general
+    search would return.
+
+    Heuristic mode (``rng`` given) follows none of these rules: its
+    shuffled order has no first-step argument, and its budget and RNG
+    stream are pinned.
+
+    ``region`` is the set of vertices on some u->v walk (those reached from
+    u that reach v), so the vertices that reach v inside it are the whole
+    region: a vertex's path to v stays in the region.  The first-path
+    search takes it as its co-reachable set instead of computing it.
     """
     out_mask, in_mask = d.out_mask, d.in_mask
     exhaustive = rng is None
+    if exhaustive and ll == 1 and kk >= 2 and region.bit_count() == kk + 1:
+        if not (out_mask[u] >> v) & 1:
+            return None
+        p = next(_paths(out_mask, in_mask, u, v, region, kk, co=region), None)
+        if p is None:
+            return None
+        arc = (u, v)
+        p = (*p, v)
+        return (p, arc) if p[1] < v else (arc, p)
     first = above = -1
     if exhaustive:
         steps = out_mask[u] & region
         first = steps ^ (1 << steps.bit_length() >> 1)  # all but the largest
     partner = ll if exhaustive else 0
     for path in _paths(
-        out_mask, in_mask, u, v, region, ll, rng, budget, first, partner
+        out_mask, in_mask, u, v, region, ll, rng, budget, first, partner, region
     ):
         allowed = region
         for x in path[1:]:
@@ -542,6 +598,11 @@ def find_two_block_cycle(
     lie between them, and they are joined by two internally disjoint paths;
     no other pair can carry a certificate.  An exhaustive report's
     ``pairs_checked`` is the number of pairs searched.
+
+    Two breadth-first searches from vertex 0 first decide whether the
+    digraph is strong.  If it is, every vertex reaches and is reached by
+    every other, so every forward and backward reachable set below is the
+    full vertex set and none is computed.
     """
     if k < 1 or ell < 1:
         raise PreconditionViolated("k and ell must be positive")
@@ -558,10 +619,14 @@ def find_two_block_cycle(
     need_interior = (kk - 1) + (ll - 1)
     out_mask, in_mask = d.out_mask, d.in_mask
     searched = 0
+    strong = (
+        reach_mask(out_mask, 0, full) == full
+        and reach_mask(in_mask, 0, full) == full
+    )
     # The vertices that reach v, computed at the first pair that needs them.
-    co_reach = [0] * n
+    co_reach = [full if strong else 0] * n
     for u in range(n):
-        reach_u = reach_mask(out_mask, u, full)
+        reach_u = full if strong else reach_mask(out_mask, u, full)
         # u's dominator sets, computed at u's first arc-absent pair that
         # passes the size cut; they answer the gate for every such pair.
         dom = None
@@ -642,8 +707,11 @@ def find_two_block_cycle_through_arc(
       at z only if z is an ancestor of a.
 
     The lengths are checked when Q ends: Q covers one role and P, with the
-    prefix ``_paths`` is asked for, the other.  The walk keeps an explicit
-    stack, so its length is not bounded by the recursion limit.
+    prefix ``_paths`` is asked for, the other.  In phase 2 the cut mask is
+    the set of ancestors of a inside the free vertices plus a, which is the
+    co-reachable set the prefix search needs, so it is passed in.  The walk
+    keeps an explicit stack, so its length is not bounded by the recursion
+    limit.
     """
     a, b = arc
     if not d.has_arc(a, b):
@@ -691,7 +759,9 @@ def find_two_block_cycle_through_arc(
                 if z == a:
                     prefix = [] if need <= 0 else None
                 else:
-                    paths = _paths(out_mask, in_mask, z, a, free | abit, need)
+                    paths = _paths(
+                        out_mask, in_mask, z, a, free | abit, need, co=keep
+                    )
                     prefix = next(paths, None)
                 if prefix is not None:
                     p = (*prefix, a, *walk[: turn + 1])

@@ -85,22 +85,36 @@ class Digraph:
     def has_arc(self, tail: int, head: int) -> bool:
         return bool((self.out_mask[tail] >> head) & 1)
 
+    @classmethod
+    def from_masks(
+        cls,
+        n: int,
+        arcs: frozenset[tuple[int, int]],
+        out_mask: tuple[int, ...],
+        in_mask: tuple[int, ...],
+    ) -> Digraph:
+        """The digraph on ``arcs`` with the adjacency masks of those arcs
+        given, stored where ``cached_property`` would put them instead of
+        being rebuilt from the arc set.  The caller vouches that the masks
+        are those of ``arcs``."""
+        d = cls(n, arcs)
+        object.__setattr__(d, "out_mask", out_mask)
+        object.__setattr__(d, "in_mask", in_mask)
+        return d
+
     def with_arc(self, tail: int, head: int) -> Digraph:
         """This digraph plus the arc tail->head, which must be a new arc.
 
-        Its adjacency masks are this digraph's with one bit set each, stored
-        where ``cached_property`` would put them, instead of being rebuilt
-        from the arc set.
+        Its adjacency masks are this digraph's with one bit set each.
         """
         arcs = set(self.arcs)
         add_arc(arcs, self.n, tail, head)
-        d = Digraph(self.n, frozenset(arcs))
         out_mask, in_mask = list(self.out_mask), list(self.in_mask)
         out_mask[tail] |= 1 << head
         in_mask[head] |= 1 << tail
-        object.__setattr__(d, "out_mask", tuple(out_mask))
-        object.__setattr__(d, "in_mask", tuple(in_mask))
-        return d
+        return Digraph.from_masks(
+            self.n, frozenset(arcs), tuple(out_mask), tuple(in_mask)
+        )
 
     @property
     def arc_count(self) -> int:

@@ -118,15 +118,19 @@ def enumerate_tournaments(n: int, *, dedup: bool = False) -> Iterator[Digraph]:
 
 def _tournament(n: int, bits: int) -> Digraph:
     """The tournament whose ``idx``-th pair ``i < j`` (row-major) is oriented
-    ``i -> j`` when bit ``idx`` of ``bits`` is set, else ``j -> i``."""
-    pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
-    return Digraph(
-        n,
-        frozenset(
-            (i, j) if (bits >> idx) & 1 else (j, i)
-            for idx, (i, j) in enumerate(pairs)
-        ),
-    )
+    ``i -> j`` when bit ``idx`` of ``bits`` is set, else ``j -> i``.  Its
+    adjacency masks are built in the same loop as its arcs."""
+    arcs = []
+    out_mask = [0] * n
+    in_mask = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            t, h = (i, j) if bits & 1 else (j, i)
+            bits >>= 1
+            arcs.append((t, h))
+            out_mask[t] |= 1 << h
+            in_mask[h] |= 1 << t
+    return Digraph.from_masks(n, frozenset(arcs), tuple(out_mask), tuple(in_mask))
 
 
 def canonical_form(d: Digraph) -> int:

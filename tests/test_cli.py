@@ -240,6 +240,14 @@ class TestCommands:
         assert main(["bondy-check", "--count", "3", "--max-n", max_n]) == 3
         assert "--max-n must be at least 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_bondy_check_count_below_one(self, count, capsys):
+        # An audit that checks nothing must not report success.
+        assert main(["bondy-check", "--count", count, "--max-n", "8"]) == 3
+        captured = capsys.readouterr()
+        assert "--count must be at least 1" in captured.err
+        assert "[OK]" not in captured.out
+
     def test_bw_audit(self, tmp_path, capsys):
         out = tmp_path / "bw.csv"
         assert main(["bw-audit", "--n", "4", "--out", str(out)]) == 0

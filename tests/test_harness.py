@@ -93,6 +93,12 @@ class TestEnumerateTournaments:
             g = underlying_graph(d)
             assert g.edge_count == 6 and d.arc_count == 6
 
+    def test_masks_built_with_the_arcs_match_fresh_ones(self):
+        for d in enumerate_tournaments(5):
+            fresh = Digraph(d.n, d.arcs)
+            assert d.out_mask == fresh.out_mask
+            assert d.in_mask == fresh.in_mask
+
     def test_exactly_one_strong_4_tournament_class(self):
         strong_classes = {
             canonical_form(d)
