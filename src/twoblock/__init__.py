@@ -39,7 +39,6 @@ from .digraph import (
     cycle_segment,
     induced,
     is_strong,
-    strong_components,
     underlying_graph,
 )
 from .hamiltonian import (

@@ -66,15 +66,15 @@ def figure1_tournament() -> Digraph:
 
 
 def _resolve_cap(args: argparse.Namespace) -> int | None:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    raw = os.environ.get("TWOBLOCK_CAP")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"TWOBLOCK_CAP must be an integer, got {raw!r}") from None
+    cap, raw = getattr(args, "cap", None), os.environ.get("TWOBLOCK_CAP")
+    if cap is None and raw is not None:
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise UsageError(f"TWOBLOCK_CAP must be an integer, got {raw!r}") from None
+    if cap is not None and cap < 0:
+        raise PreconditionViolated(f"the cap must be at least 0, got {cap}")
+    return cap
 
 
 def _emit_coloring(
@@ -209,6 +209,8 @@ def _cmd_verify_figure1(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.workers < 1:
+        raise PreconditionViolated("--workers must be at least 1")
     records = harness.search_problem1(args.n, workers=args.workers)
     count = harness.write_records(records, args.out)
     print(f"{count} strong tournaments on {args.n} vertices miss some pair; "
@@ -221,6 +223,8 @@ def _cmd_bondy_check(args) -> int:
         raise PreconditionViolated("--max-n must be at least 3")
     if args.count < 1:
         raise PreconditionViolated("--count must be at least 1")
+    if args.workers < 1:
+        raise PreconditionViolated("--workers must be at least 1")
     instances = []
     for i in range(args.count):
         n = 3 + (i % (args.max_n - 2))

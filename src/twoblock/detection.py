@@ -5,22 +5,21 @@ directed paths from some vertex ``u`` to some other vertex ``v``, of lengths
 at least ``k`` and at least ``ell``.  A digon is not a two-block cycle: its
 two arcs run in opposite directions, not from ``u`` to ``v`` twice.
 
-Exhaustive and heuristic detection, the longest cycle and the Hamiltonian
-cycle all run on one iterative path kernel, ``_paths``, which yields the
-simple u->v paths (or the cycles through u) of a given minimum length in
-depth-first order and prunes with bitmask reachability.  Once the length
-bound can no longer cut a branch, the kernel only asks whether the target
-is still reachable, and that test (``reach_mask`` with ``stop``, also
-used by the Menger gate) stops at the first sight of it.  The kernel
-takes the set of vertices that reach its target when the caller already
-holds it.  ``_pair_search`` passes its region: the region is the set of
-vertices on some u->v walk, and a vertex's path to v never leaves it.
-Arc-anchored detection passes its cut mask, which at that point is the set
-of vertices that reach a.
+Detection, the longest cycle and the Hamiltonian cycle all run on one
+iterative path kernel, ``_paths``, which yields the simple u->v paths (or
+the cycles through u) of a given minimum length in depth-first order and
+prunes with bitmask reachability.  Once the length bound can no longer cut
+a branch, the kernel only asks whether the target is still reachable, and
+that test (``reach_mask`` with ``stop``, also used by the Menger gate)
+stops at the first sight of it.  The kernel takes the set of vertices that
+reach its target when the caller already holds it.  ``_pair_search``
+passes its region: the region is the set of vertices on some u->v walk,
+and a vertex's path to v never leaves it.  Arc-anchored detection passes
+its cut mask, which at that point is the set of vertices that reach a.
 
-Exhaustive detection first decides whether the digraph is strong, with
-two breadth-first searches from vertex 0; if it is, every vertex reaches
-and is reached by all the others, so no per-vertex reachability search is
+Detection first decides whether the digraph is strong, with two
+breadth-first searches from vertex 0; if it is, every vertex reaches and
+is reached by all the others, so no per-vertex reachability search is
 run.  It searches a pair (u, v) only if it passes a Menger gate: two
 internally disjoint u->v paths exist iff no single vertex separates u
 from v.  With the arc u->v present the gate is one reachability test per
@@ -31,26 +30,24 @@ from the dominators as well measured slower on the mostly positive sweep
 of labeled 6-tournaments, where many hits come at a source's first pair,
 before any dominator pass is needed.
 
-Exhaustive pair search follows a first-step rule: a first path that
-leaves u by x is paired only with second paths that leave u by some
-y > x, and no first path leaves u by its largest out-neighbour.  The
-first path in lexicographic order that has a partner always has all its
-partners above it: a partner leaving u by a smaller vertex would come
-first and pair with it whatever the lengths, so the search would have
-stopped there.  It also follows a partner cut: a partial first path is
-not extended once no second path of ``ll`` arcs that leaves u above its
-first step can avoid it.  Such a second path's vertices after u are
-reached from u's out-neighbours above the step and reach v, both off the
-partial path, so fewer than ``ll`` such vertices rule it out for every
-completion.  A spanning c(kk, 1) pair, with ll == 1, kk >= 2 and exactly
-kk + 1 vertices between u and v, is decided with one path search: a
-pair's longer path must span those vertices and the shorter one is then
-the arc u->v, so the answer is the arc with the first spanning path, in
-the order the general search finds them.  The certificate and
-``pairs_checked`` are therefore unchanged (see ``_pair_search``); a
-spanning pair still counts as searched, since it passed the gates.
-Heuristic mode is exempt from all three rules: it shuffles its order, and
-its budget and random stream are pinned.
+Pair search follows a first-step rule: a first path that leaves u by x is
+paired only with second paths that leave u by some y > x, and no first
+path leaves u by its largest out-neighbour.  The first path in
+lexicographic order that has a partner always has all its partners above
+it: a partner leaving u by a smaller vertex would come first and pair with
+it whatever the lengths, so the search would have stopped there.  It also
+follows a partner cut: a partial first path is not extended once no second
+path of ``ll`` arcs that leaves u above its first step can avoid it.  Such
+a second path's vertices after u are reached from u's out-neighbours above
+the step and reach v, both off the partial path, so fewer than ``ll`` such
+vertices rule it out for every completion.  A spanning c(kk, 1) pair, with
+ll == 1, kk >= 2 and exactly kk + 1 vertices between u and v, is decided
+with one path search: a pair's longer path must span those vertices and
+the shorter one is then the arc u->v, so the answer is the arc with the
+first spanning path, in the order the general search finds them.  The
+certificate and ``pairs_checked`` are therefore unchanged (see
+``_pair_search``); a spanning pair still counts as searched, since it
+passed the gates.
 
 Arc-anchored detection searches one oriented cycle through the new arc
 a->b: forward from b, backward along the second path, then forward to a
@@ -61,13 +58,12 @@ with ``verify_certificate``: on bitmasks, with code of its own.  The
 searches are exponential, but the pruning keeps exhaustive proofs
 comfortable at desk scale.  Beyond the cap, strict mode refuses;
 heuristic mode runs the same search under an expansion budget (detection
-also in a random order over a sample of pairs), so its negatives are
-tagged as unverified and its longest cycle is not certified longest.
+also with a limit on the pairs it searches), so its negatives are tagged
+as unverified and its longest cycle is not certified longest.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -128,7 +124,11 @@ class TwoBlockCertificate:
 
 @dataclass(frozen=True)
 class AbsenceReport:
-    """Negative detection result; only ``mode == "exhaustive"`` is a proof."""
+    """Negative detection result; only ``mode == "exhaustive"`` is a proof.
+
+    ``pairs_checked`` is the number of vertex pairs the search looked at for
+    two disjoint paths, after the gates of ``find_two_block_cycle``.
+    """
 
     k: int
     ell: int
@@ -221,17 +221,15 @@ def certify(
     return cert
 
 
-def _order(mask: int, rng: random.Random | None) -> Iterator[int]:
-    # The set bits of ``mask`` ascending, or in an order shuffled by ``rng``.
-    # Built as a list because iterating one is cheaper in the search loop
-    # than resuming the ``iter_bits`` generator.
+def _order(mask: int) -> Iterator[int]:
+    # The set bits of ``mask`` ascending.  Built as a list because iterating
+    # one is cheaper in the search loop than resuming the ``iter_bits``
+    # generator.
     order = []
     while mask:
         low = mask & -mask
         order.append(low.bit_length() - 1)
         mask ^= low
-    if rng is not None:
-        rng.shuffle(order)
     return iter(order)
 
 
@@ -242,7 +240,6 @@ def _paths(
     v: int,
     allowed: int,
     min_len: int,
-    rng: random.Random | None = None,
     budget: list[int] | None = None,
     first: int = -1,
     partner: int = 0,
@@ -251,22 +248,22 @@ def _paths(
     """Every simple u->v path inside ``allowed`` with at least ``min_len`` arcs
     whose first step lies in ``first``.
 
-    Paths come in depth-first order with out-neighbours ascending (shuffled
-    by ``rng`` when given), each as the live vertex list without ``v``; with
-    ``u == v`` they are the cycles through ``u``.  A branch is cut once ``v``
-    becomes unreachable or too few vertices remain to reach ``min_len``.
-    The count of remaining vertices needs the full reachable set, so it is
-    taken only while the length bound can still cut; after that the test
-    stops at the first sight of ``v``.  With ``partner`` > 0 a branch is
-    also cut once no u->v path of ``partner`` arcs whose first step lies
-    above the branch's can avoid it (``_no_partner``).  Every expanded
-    vertex costs one unit of ``budget``; once it is spent no further vertex
-    is expanded.
+    Paths come in depth-first order with out-neighbours ascending, each as
+    the live vertex list without ``v``; with ``u == v`` they are the
+    cycles through ``u``.  A branch is cut once ``v`` becomes unreachable
+    or too few vertices remain to reach ``min_len``.  The count of
+    remaining vertices needs the full reachable set, so it is taken only
+    while the length bound can still cut; after that the test stops at the
+    first sight of ``v``.  With ``partner`` > 0 a branch is also cut once
+    no u->v path of ``partner`` arcs whose first step lies above the
+    branch's can avoid it (``_no_partner``).  Every expanded vertex costs
+    one unit of ``budget``; once it is spent no further vertex is
+    expanded.
 
     ``co`` is the set of vertices that reach ``v`` inside ``allowed``; a
     caller that already holds it passes it, and the kernel computes it
     otherwise.  Passing it changes nothing but the cost: it is the same
-    set, and finding it draws no random number and spends no budget.
+    set, and finding it spends no budget.
     """
     if co is None:
         co = reach_mask(in_mask, v, allowed)
@@ -286,7 +283,7 @@ def _paths(
     # ``used`` the path's vertices; ``stack`` saves both for every earlier
     # vertex.  ``v`` stays a candidate even when used, which closes the
     # cycles through ``u == v``.
-    todo = _order(out_mask[u] & allowed & (~used | vbit) & first, rng)
+    todo = _order(out_mask[u] & allowed & (~used | vbit) & first)
     stack = []
     while True:
         for x in todo:
@@ -322,7 +319,7 @@ def _paths(
             stack.append((todo, used))
             path.append(x)
             used = new_used
-            todo = _order(out_mask[x] & allowed & (~used | vbit), rng)
+            todo = _order(out_mask[x] & allowed & (~used | vbit))
             break
         else:
             if not stack:
@@ -415,22 +412,20 @@ def _pair_search(
     region: int,
     kk: int,
     ll: int,
-    rng: random.Random | None = None,
     budget: list[int] | None = None,
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Two disjoint u->v paths with lengths covering (kk, ll), kk >= ll.
 
-    The first path is the first in ``_paths`` order that has a second path,
-    and the second path is the first such in the same order.  Without
-    ``rng`` that order is lexicographic, and the search follows a
-    first-step rule: when the first path leaves u by x, its second path is
-    sought only among paths that leave u by some y > x, and no first path
-    leaves u by u's largest out-neighbour in ``region``.  The answer is
-    unchanged, because a pair {A, B} is always found at whichever of A and
-    B comes first.  Two internally disjoint paths leave u by different
-    vertices; if B left by a smaller vertex than A, B would come first and
-    would pair with A whatever the lengths, so the search would have
-    stopped at B.
+    The first path is the first in lexicographic order that has a second
+    path, and the second path is the first such in the same order.  The
+    search follows a first-step rule: when the first path leaves u by x,
+    its second path is sought only among paths that leave u by some y > x,
+    and no first path leaves u by u's largest out-neighbour in ``region``.
+    The answer is unchanged, because a pair {A, B} is always found at
+    whichever of A and B comes first.  Two internally disjoint paths leave
+    u by different vertices; if B left by a smaller vertex than A, B would
+    come first and would pair with A whatever the lengths, so the search
+    would have stopped at B.
 
     The same search also cuts a partial first path u ... x as soon as no
     partner can exist off it (``_paths`` with ``partner=ll``).  Let F be
@@ -443,25 +438,23 @@ def _pair_search(
     branch holds no first path with a partner.  First paths still come in
     the same order, so the answer is unchanged.
 
-    Exhaustive mode decides a spanning c(kk, 1) pair, where ll == 1,
-    kk >= 2 and ``region`` has exactly kk + 1 vertices, with one path
-    search.  The longer path of any pair has at least kk + 1 vertices in
-    ``region``, so it spans the region, and the shorter one, disjoint from
-    its interior, is the arc u->v.  So without that arc there is no pair.
-    With it, the arc's partners are the spanning paths, and a spanning
-    path's one partner is the arc.  No other path has a partner: it has an
-    interior vertex, and it is too short to be the longer path, so its
-    partner would span the region and share that vertex.  Let P be the
-    lexicographically first spanning path.  If P leaves u below v, then
-    P < (u, v) and P is the first path with a partner, paired with the
-    arc.  Otherwise every spanning path leaves u above v, the arc is the
-    first path with a partner, and its first partner is P.  Either way that
-    is the pair of the unpruned search, so it is the pair the general
-    search would return.
+    A spanning c(kk, 1) pair, where ll == 1, kk >= 2 and ``region`` has
+    exactly kk + 1 vertices, is decided with one path search.  The longer
+    path of any pair has at least kk + 1 vertices in ``region``, so it
+    spans the region, and the shorter one, disjoint from its interior, is
+    the arc u->v.  So without that arc there is no pair.  With it, the
+    arc's partners are the spanning paths, and a spanning path's one
+    partner is the arc.  No other path has a partner: it has an interior
+    vertex, and it is too short to be the longer path, so its partner would
+    span the region and share that vertex.  Let P be the lexicographically
+    first spanning path.  If P leaves u below v, then P < (u, v) and P is
+    the first path with a partner, paired with the arc.  Otherwise every
+    spanning path leaves u above v, the arc is the first path with a
+    partner, and its first partner is P.  Either way that is the pair of
+    the unpruned search, so it is the pair the general search would return.
 
-    Heuristic mode (``rng`` given) follows none of these rules: its
-    shuffled order has no first-step argument, and its budget and RNG
-    stream are pinned.
+    Every path search spends ``budget`` when one is given (see ``_paths``);
+    the search then may miss a pair, but any pair it returns is genuine.
 
     ``region`` is the set of vertices on some u->v walk (those reached from
     u that reach v), so the vertices that reach v inside it are the whole
@@ -469,30 +462,22 @@ def _pair_search(
     search takes it as its co-reachable set instead of computing it.
     """
     out_mask, in_mask = d.out_mask, d.in_mask
-    exhaustive = rng is None
-    if exhaustive and ll == 1 and kk >= 2 and region.bit_count() == kk + 1:
+    if ll == 1 and kk >= 2 and region.bit_count() == kk + 1:
         if not (out_mask[u] >> v) & 1:
             return None
-        p = next(_paths(out_mask, in_mask, u, v, region, kk, co=region), None)
+        p = next(_paths(out_mask, in_mask, u, v, region, kk, budget, co=region), None)
         if p is None:
             return None
         arc = (u, v)
         p = (*p, v)
         return (p, arc) if p[1] < v else (arc, p)
-    first = above = -1
-    if exhaustive:
-        steps = out_mask[u] & region
-        first = steps ^ (1 << steps.bit_length() >> 1)  # all but the largest
-    partner = ll if exhaustive else 0
-    for path in _paths(
-        out_mask, in_mask, u, v, region, ll, rng, budget, first, partner, region
-    ):
+    steps = out_mask[u] & region
+    first = steps ^ (1 << steps.bit_length() >> 1)  # all but the largest
+    for path in _paths(out_mask, in_mask, u, v, region, ll, budget, first, ll, region):
         allowed = region
         for x in path[1:]:
             allowed &= ~(1 << x)
-        if exhaustive:
-            step = path[1] if len(path) > 1 else v
-            above = ~((2 << step) - 1)
+        above = -(2 << (path[1] if len(path) > 1 else v))
         q = _second_path(
             out_mask, in_mask, u, v, allowed, len(path), kk, ll, budget, above
         )
@@ -586,18 +571,19 @@ def find_two_block_cycle(
     *,
     cap: int | None = None,
     strict: bool = True,
-    seed: int = 0,
 ) -> TwoBlockCertificate | AbsenceReport:
     """Search for ``c(k, ell)``; a verified certificate or an absence report.
 
     Within the cap the search is exhaustive, so a negative is a proof.  Above
-    the cap, strict mode raises :class:`CapExceeded`; heuristic mode runs a
-    randomized search and returns a ``capped`` report when it finds nothing.
+    the cap, strict mode raises :class:`CapExceeded`; heuristic mode runs the
+    same search, but gives each searched pair an expansion budget of
+    ``_HEURISTIC_BUDGET`` and stops after ``_HEURISTIC_TRIES`` searched
+    pairs, and returns a ``capped`` report when it finds nothing.
 
     A pair (u, v) is searched only if v is reachable from u, enough vertices
     lie between them, and they are joined by two internally disjoint paths;
-    no other pair can carry a certificate.  An exhaustive report's
-    ``pairs_checked`` is the number of pairs searched.
+    no other pair can carry a certificate.  A report's ``pairs_checked`` is
+    the number of pairs searched, in either mode.
 
     Two breadth-first searches from vertex 0 first decide whether the
     digraph is strong.  If it is, every vertex reaches and is reached by
@@ -607,12 +593,13 @@ def find_two_block_cycle(
     if k < 1 or ell < 1:
         raise PreconditionViolated("k and ell must be positive")
     cap = DEFAULT_DETECT_CAP if cap is None else cap
+    budget = None
     if d.n > cap:
         if strict:
             raise CapExceeded(
                 f"exhaustive detection needs n <= {cap}, got {d.n}"
             )
-        return _heuristic_find(d, k, ell, seed)
+        budget = [0]
     kk, ll = max(k, ell), min(k, ell)
     n = d.n
     full = (1 << n) - 1
@@ -643,35 +630,15 @@ def find_two_block_cycle(
                 dom = _dominators(out_mask, in_mask, u, reach_u)
             if not _menger_gate(out_mask, in_mask, u, v, region, dom):
                 continue
+            if budget is not None:
+                if searched == _HEURISTIC_TRIES:
+                    return AbsenceReport(k, ell, "capped", searched)
+                budget[0] = _HEURISTIC_BUDGET
             searched += 1
-            pair = _pair_search(d, u, v, region, kk, ll)
+            pair = _pair_search(d, u, v, region, kk, ll, budget)
             if pair is not None:
                 return certify(d, *pair, k, ell)
-    return AbsenceReport(k, ell, "exhaustive", searched)
-
-
-def _heuristic_find(
-    d: Digraph, k: int, ell: int, seed: int
-) -> TwoBlockCertificate | AbsenceReport:
-    rng = random.Random(seed)
-    kk, ll = max(k, ell), min(k, ell)
-    n = d.n
-    full = (1 << n) - 1
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    rng.shuffle(pairs)
-    tries = min(len(pairs), _HEURISTIC_TRIES)
-    for u, v in pairs[:tries]:
-        reach_u = reach_mask(d.out_mask, u, full)
-        if not (reach_u >> v) & 1:
-            continue
-        region = reach_u & reach_mask(d.in_mask, v, full)
-        if region.bit_count() - 2 < (kk - 1) + (ll - 1):
-            continue
-        budget = [_HEURISTIC_BUDGET]
-        pair = _pair_search(d, u, v, region, kk, ll, rng=rng, budget=budget)
-        if pair is not None:
-            return certify(d, *pair, k, ell)
-    return AbsenceReport(k, ell, "capped", tries)
+    return AbsenceReport(k, ell, "exhaustive" if budget is None else "capped", searched)
 
 
 def find_two_block_cycle_through_arc(

@@ -78,10 +78,6 @@ class Digraph:
             masks[head] |= 1 << tail
         return tuple(masks)
 
-    @cached_property
-    def out_adj(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(iter_bits(m)) for m in self.out_mask)
-
     def has_arc(self, tail: int, head: int) -> bool:
         return bool((self.out_mask[tail] >> head) & 1)
 
@@ -233,60 +229,6 @@ def underlying_graph(d: Digraph) -> UGraph:
         (tail, head) if tail < head else (head, tail) for tail, head in d.arcs
     )
     return UGraph(d.n, edges)
-
-
-def strong_components(d: Digraph) -> tuple[frozenset[int], ...]:
-    """Strongly connected components, sorted by minimum vertex id.
-
-    Iterative Tarjan so deep digraphs cannot hit the recursion limit.
-    """
-    n = d.n
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[frozenset[int]] = []
-    counter = 0
-    adj = d.out_adj
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, i = work[-1]
-            if i == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while i < len(adj[v]):
-                w = adj[v][i]
-                i += 1
-                if index[w] == -1:
-                    work[-1] = (v, i)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.add(w)
-                    if w == v:
-                        break
-                comps.append(frozenset(comp))
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    comps.sort(key=min)
-    return tuple(comps)
 
 
 def is_strong(d: Digraph) -> bool:

@@ -12,7 +12,7 @@ import concurrent.futures
 import json
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import random
 
@@ -29,7 +29,6 @@ from .detection import (
 from .digraph import Digraph, is_strong, iter_bits, underlying_graph
 from .errors import CapExceeded, PreconditionViolated, StructuralViolation
 
-TOURNAMENT_CAP = 7
 CLASS_CAP = 8
 
 
@@ -95,25 +94,6 @@ class InstanceRecord:
             data["tags"],
             data["properties"],
         )
-
-
-def enumerate_tournaments(n: int, *, dedup: bool = False) -> Iterator[Digraph]:
-    """All labeled tournaments on ``n`` vertices, in bitmask order.
-
-    With ``dedup`` only the first representative of each isomorphism class
-    in that order is yielded: the least bit pattern among the members of
-    each of the ``tournament_classes(n)``.
-    """
-    if n > TOURNAMENT_CAP:
-        raise CapExceeded(f"tournament enumeration needs n <= {TOURNAMENT_CAP}")
-    if n < 1:
-        raise PreconditionViolated("need n >= 1")
-    if dedup:
-        patterns = sorted(_members(d)[0] for d in tournament_classes(n))
-    else:
-        patterns = range(1 << (n * (n - 1) // 2))
-    for bits in patterns:
-        yield _tournament(n, bits)
 
 
 def _tournament(n: int, bits: int) -> Digraph:

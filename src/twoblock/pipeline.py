@@ -27,7 +27,6 @@ from .coloring import (
     Coloring,
     EliminationOrder,
     degeneracy,
-    elimination_back_degree,
     greedy_color_by_order,
     is_proper,
     k_colorable,
@@ -60,7 +59,6 @@ from .errors import (
     StructuralViolation,
     VertexOutOfRange,
 )
-from .hamiltonian import ham_degeneracy_order
 
 
 def class_palette_bound(k: int, ell: int) -> int:
@@ -601,7 +599,6 @@ def order_F1(f1: Digraph, k: int, ell: int) -> EliminationOrder:
     Minimum-degree peeling computes the exact degeneracy (Matula & Beck
     1983), so when it misses the bound no order meets it and the lemma
     behind the bound has failed: that raises :class:`StructuralViolation`.
-    :func:`order_f1_by_cycles` is the lemma's own construction.
     """
     bound = k + 2 * ell - 2
     order = degeneracy(underlying_graph(f1))
@@ -610,31 +607,6 @@ def order_F1(f1: Digraph, k: int, ell: int) -> EliminationOrder:
     raise StructuralViolation(
         f"F1 degeneracy {order.bound} exceeds the bound {bound}"
     )
-
-
-def order_f1_by_cycles(
-    f1: Digraph, tree: CycleTree, k: int, ell: int
-) -> EliminationOrder:
-    """Cycle-by-cycle order: each cycle's vertices (minus its parent vertex)
-    are placed by the Hamiltonian peeling of the cycle's induced subdigraph."""
-    build: list[int] = []
-    for i, cyc in enumerate(tree.cycles):
-        sub, corr = induced(f1, cyc.vertices)
-        relabel = {v: j for j, v in enumerate(corr)}
-        ham = DiCycle(tuple(relabel[v] for v in cyc.vertices))
-        result = ham_degeneracy_order(sub, ham, k, ell)
-        if isinstance(result, TwoBlockCertificate):
-            raise StructuralViolation(
-                f"tree cycle {i} induces a digraph containing c({k},{ell})"
-            )
-        block = [corr[x] for x in reversed(result.order)]
-        if i > 0:
-            block = [v for v in block if v != tree.parent_vertex[i]]
-        build.extend(block)
-    deletion = tuple(reversed(build))
-    g = underlying_graph(f1)
-    achieved = elimination_back_degree(g, deletion)
-    return EliminationOrder(deletion, achieved)
 
 
 def color_F(f: Digraph, tree: CycleTree, k: int, ell: int) -> Coloring:

@@ -1,7 +1,9 @@
 """Naive reference implementations used as independent test oracles.
 
 Everything here is deliberately written with plain dicts, sets and
-unpruned recursion, sharing no code path with the optimized library.
+unpruned recursion, sharing no code path with the optimized library.  The
+one exception is ``order_f1_by_cycles``, the cycle-by-cycle construction of
+the F1 lemma, which is built from the library's Hamiltonian peeling.
 """
 
 from __future__ import annotations
@@ -9,7 +11,10 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from twoblock.digraph import Digraph, UGraph
+from twoblock.detection import TwoBlockCertificate
+from twoblock.digraph import DiCycle, Digraph, UGraph, induced
+from twoblock.hamiltonian import ham_degeneracy_order
+from twoblock.pipeline import CycleTree
 
 
 def out_adjacency(d: Digraph) -> dict[int, list[int]]:
@@ -279,6 +284,26 @@ def oracle_back_degree(g: UGraph, order: tuple[int, ...]) -> int:
         remaining.discard(v)
         worst = max(worst, len(neighbors[v] & remaining))
     return worst
+
+
+def order_f1_by_cycles(
+    f1: Digraph, tree: CycleTree, k: int, ell: int
+) -> tuple[int, ...]:
+    """The F1 lemma's deletion order, cycle by cycle: each cycle's vertices
+    (minus its parent vertex) are placed by the Hamiltonian peeling of the
+    cycle's induced subdigraph."""
+    build: list[int] = []
+    for i, cyc in enumerate(tree.cycles):
+        sub, corr = induced(f1, cyc.vertices)
+        relabel = {v: j for j, v in enumerate(corr)}
+        ham = DiCycle(tuple(relabel[v] for v in cyc.vertices))
+        result = ham_degeneracy_order(sub, ham, k, ell)
+        assert not isinstance(result, TwoBlockCertificate), i
+        block = [corr[x] for x in reversed(result.order)]
+        if i > 0:
+            block = [v for v in block if v != tree.parent_vertex[i]]
+        build.extend(block)
+    return tuple(reversed(build))
 
 
 def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:

@@ -264,3 +264,32 @@ class TestCommands:
         monkeypatch.setenv("TWOBLOCK_CAP", "abc")
         assert main(["detect", "--k", "2", "--ell", "1", c6_file]) == 2
         assert "'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["detect", "color", "longest-cycle"])
+    def test_negative_cap_is_precondition(self, command, c6_file, capsys):
+        kell = ["--k", "2", "--ell", "1"] if command != "longest-cycle" else []
+        assert main([command, *kell, "--cap", "-3", c6_file]) == 3
+        assert "the cap must be at least 0, got -3" in capsys.readouterr().err
+
+    def test_negative_env_cap_is_precondition(self, c6_file, capsys, monkeypatch):
+        monkeypatch.setenv("TWOBLOCK_CAP", "-1")
+        assert main(["detect", "--k", "2", "--ell", "1", c6_file]) == 3
+        assert "the cap must be at least 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--n", "5", "--workers", "-2"],
+            ["search", "--n", "5", "--workers", "0"],
+            ["bondy-check", "--count", "3", "--workers", "0"],
+            ["bondy-check", "--count", "3", "--workers", "-1"],
+        ],
+    )
+    def test_workers_below_one_is_precondition(self, argv, tmp_path, capsys):
+        out = tmp_path / "res.jsonl"
+        extra = ["--out", str(out)] if argv[0] == "search" else []
+        assert main(argv + extra) == 3
+        captured = capsys.readouterr()
+        assert "--workers must be at least 1" in captured.err
+        assert "[OK]" not in captured.out
+        assert not out.exists()

@@ -272,8 +272,8 @@ def test_rejected_pairs_have_no_pair_search_result(d):
 
 
 @settings(max_examples=150, deadline=None)
-@given(digraphs(max_n=6), st.randoms(use_true_random=False))
-def test_path_kernel_matches_oracle(d, rng):
+@given(digraphs(max_n=6))
+def test_path_kernel_matches_oracle(d):
     # Depth-first order with ascending neighbours is lexicographic order.
     full = (1 << d.n) - 1
     for u in range(d.n):
@@ -285,8 +285,6 @@ def test_path_kernel_matches_oracle(d, rng):
                     (*p, v) for p in _paths(d.out_mask, d.in_mask, u, v, full, min_len)
                 ]
                 assert got == expected
-            shuffled = _paths(d.out_mask, d.in_mask, u, v, full, 0, rng=rng)
-            assert sorted((*p, v) for p in shuffled) == sorted(paths)
 
 
 @settings(max_examples=150, deadline=None)
@@ -356,32 +354,65 @@ class TestIterativeSearches:
             gc.enable()
 
 
-# Heuristic certificates recorded from the recursive searches that the path
-# kernel replaced: (graph seed, n, p, search seed, k, ell, budget, result).
-# Any change to the RNG stream or to the budget accounting shows up here.
+def unbounded_capped(d, k, ell):
+    """Heuristic detection with its budget and pair limit past any need."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detection, "_HEURISTIC_BUDGET", 10**12)
+        mp.setattr(detection, "_HEURISTIC_TRIES", 10**12)
+        return find_two_block_cycle(d, k, ell, cap=d.n - 1, strict=False)
+
+
+def relabeled_exhaustive(d, k, ell):
+    """The exhaustive result as JSON, a negative relabeled ``capped``."""
+    exact = find_two_block_cycle(d, k, ell).to_json_dict()
+    if "mode" in exact:
+        exact["mode"] = "capped"
+    return exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs(min_n=0, max_n=8), st.integers(1, 4), st.integers(1, 4))
+def test_unbounded_heuristic_is_the_exhaustive_search(d, k, ell):
+    # Heuristic mode is the exhaustive pair loop under a budget, so with no
+    # budget it returns the same certificate or the same pair count.
+    assert unbounded_capped(d, k, ell).to_json_dict() == relabeled_exhaustive(
+        d, k, ell
+    )
+
+
+def test_unbounded_heuristic_on_figure1(fig1):
+    assert unbounded_capped(fig1, 4, 1).to_json_dict() == {
+        "k": 4, "ell": 1, "mode": "capped", "pairs_checked": 13
+    }
+
+
+# Heuristic results: (graph seed, n, p, k, ell, budget, result), with the
+# cap one below n.  The budget-6 rows run out of budget, so a change to the
+# budget accounting shows up here.
 HEURISTIC_PINS = [
-    (3, 9, 0.3, 3, 2, 1, 20000,
-     {"u": 0, "v": 8, "path_a": [0, 1, 8], "path_b": [0, 6, 8]}),
-    (11, 10, 0.3, 7, 3, 2, 20000,
-     {"u": 4, "v": 3, "path_a": [4, 6, 2, 3], "path_b": [4, 7, 3]}),
-    (17, 11, 0.25, 2, 4, 1, 20000,
-     {"u": 0, "v": 7, "path_a": [0, 8, 10, 2, 6, 7], "path_b": [0, 9, 7]}),
-    (17, 11, 0.25, 2, 4, 1, 6,
-     {"u": 9, "v": 7, "path_a": [9, 5, 4, 0, 8, 7], "path_b": [9, 7]}),
-    (23, 12, 0.35, 5, 3, 3, 20000,
-     {"u": 6, "v": 5, "path_a": [6, 2, 10, 4, 5], "path_b": [6, 0, 8, 1, 3, 5]}),
-    (23, 12, 0.35, 5, 3, 3, 6,
-     {"u": 6, "v": 4, "path_a": [6, 2, 10, 4], "path_b": [6, 0, 8, 4]}),
+    (3, 9, 0.3, 2, 1, 20000,
+     {"u": 0, "v": 1, "path_a": [0, 6, 8, 1], "path_b": [0, 1]}),
+    (11, 10, 0.3, 3, 2, 20000,
+     {"u": 1, "v": 2, "path_a": [1, 4, 6, 2], "path_b": [1, 7, 2]}),
+    (17, 11, 0.25, 4, 1, 20000,
+     {"u": 0, "v": 4, "path_a": [0, 8, 10, 2, 6, 7, 4], "path_b": [0, 9, 5, 4]}),
+    (17, 11, 0.25, 4, 1, 6,
+     {"u": 0, "v": 8, "path_a": [0, 9, 5, 4, 8], "path_b": [0, 8]}),
+    (23, 12, 0.35, 3, 3, 20000,
+     {"u": 0, "v": 1, "path_a": [0, 4, 8, 1],
+      "path_b": [0, 9, 6, 2, 10, 7, 3, 11, 1]}),
+    (23, 12, 0.35, 3, 3, 6,
+     {"u": 2, "v": 0, "path_a": [2, 9, 6, 0], "path_b": [2, 10, 4, 0]}),
 ]
 
 
-@pytest.mark.parametrize("graph_seed,n,p,seed,k,ell,budget,expected", HEURISTIC_PINS)
+@pytest.mark.parametrize("graph_seed,n,p,k,ell,budget,expected", HEURISTIC_PINS)
 def test_heuristic_certificates_are_pinned(
-    monkeypatch, graph_seed, n, p, seed, k, ell, budget, expected
+    monkeypatch, graph_seed, n, p, k, ell, budget, expected
 ):
     d = random_digraph(random.Random(graph_seed), n, p)
     monkeypatch.setattr(detection, "_HEURISTIC_BUDGET", budget)
-    got = find_two_block_cycle(d, k, ell, cap=n - 1, strict=False, seed=seed)
+    got = find_two_block_cycle(d, k, ell, cap=n - 1, strict=False)
     assert got.to_json_dict() == {**expected, "k": k, "ell": ell}
 
 

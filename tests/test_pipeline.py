@@ -35,7 +35,6 @@ from twoblock.pipeline import (
     cycle_path,
     extract_cycle_tree,
     order_F1,
-    order_f1_by_cycles,
     palette_bound,
     phi_labeling,
     pipeline_report,
@@ -46,6 +45,8 @@ from twoblock.pipeline import (
     validate_structure,
     validate_trace,
 )
+
+from oracles import order_f1_by_cycles
 
 
 def directed_cycle(n):
@@ -371,8 +372,8 @@ class TestOrderF1:
         tree = quad_tree()
         order = order_f1_by_cycles(f1, tree, 3, 3)
         g = underlying_graph(f1)
-        assert sorted(order.order) == list(range(7))
-        assert elimination_back_degree(g, order.order) <= 3 + 2 * 3 - 2
+        assert sorted(order) == list(range(7))
+        assert elimination_back_degree(g, order) <= 3 + 2 * 3 - 2
 
     def test_corpus_orders_meet_lemma_bound(self):
         for seed in range(5):
@@ -395,7 +396,7 @@ class TestOrderF1:
                 )
                 by_cycles = order_f1_by_cycles(f1, tree, 3, 2)
                 assert (
-                    elimination_back_degree(underlying_graph(f1), by_cycles.order)
+                    elimination_back_degree(underlying_graph(f1), by_cycles)
                     <= 3 + 2 * 2 - 2
                 )
 
