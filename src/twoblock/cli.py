@@ -1,8 +1,9 @@
 """Command-line surface binding the library into a usable tool.
 
-Exit codes: 0 success/found, 1 verified negative, 2 usage or I/O error,
-3 precondition violated, 4 cap exceeded in strict mode, 5 a failed internal
-invariant (a result that did not pass its own verification).
+Exit codes: 0 success/found, 1 negative (a proof unless tagged ``capped``),
+2 usage or I/O error, 3 precondition violated, 4 a search above its cap cut
+short by the work limit in strict mode, or a size-capped enumeration, 5 a
+failed internal invariant (a result that did not pass its own verification).
 """
 
 from __future__ import annotations
@@ -12,16 +13,14 @@ import os
 import sys
 
 from . import harness, io
-from .coloring import DEFAULT_COLOR_CAP, chromatic_number, is_proper
+from .coloring import chromatic_number, is_proper
 from .detection import (
-    DEFAULT_CYCLE_CAP,
     AbsenceReport,
     TwoBlockCertificate,
     certify,
     find_two_block_cycle,
     hamiltonian_cycle,
     longest_cycle,
-    raised_cap,
 )
 from .digraph import (
     Digraph,
@@ -128,7 +127,7 @@ def _cmd_ham_color(args) -> int:
         raise PreconditionViolated("k and ell must be positive")
     d = io.read_edge_list(args.file)
     cap = _resolve_cap(args)
-    ham = hamiltonian_cycle(d, cap=raised_cap(cap, DEFAULT_CYCLE_CAP))
+    ham = hamiltonian_cycle(d, cap=cap)
     if ham is None:
         raise NotHamiltonian("input has no Hamiltonian cycle")
     if args.k + args.ell == 2:
@@ -147,7 +146,7 @@ def _induced_cycle_check(args, d: Digraph, ham: DiCycle) -> int:
     chord = next((a for a in sorted(d.arcs) if a not in set(ham.arcs())), None)
     if chord is None:
         print("input is an induced directed cycle")
-        _, coloring = chromatic_number(underlying_graph(d))
+        _, coloring = chromatic_number(underlying_graph(d), cap=_resolve_cap(args))
         _emit_coloring(args, d, coloring)
         return EXIT_OK
     cert = certify(d, chord, cycle_segment(ham, *chord), 1, 1)
@@ -159,9 +158,7 @@ def _induced_cycle_check(args, d: Digraph, ham: DiCycle) -> int:
 def _cmd_chromatic(args) -> int:
     d = io.read_edge_list(args.file)
     cap = _resolve_cap(args)
-    chi, coloring = chromatic_number(
-        underlying_graph(d), cap=raised_cap(cap, DEFAULT_COLOR_CAP)
-    )
+    chi, coloring = chromatic_number(underlying_graph(d), cap=cap)
     _emit_coloring(
         args, d, coloring, extra={"chi": chi}, text=f"chromatic number: {chi}"
     )
@@ -172,9 +169,7 @@ def _cmd_longest_cycle(args) -> int:
     d = io.read_edge_list(args.file)
     cap = _resolve_cap(args)
     try:
-        cycle = longest_cycle(
-            d, cap=raised_cap(cap, DEFAULT_CYCLE_CAP), strict=args.strict
-        )
+        cycle = longest_cycle(d, cap=cap, strict=args.strict)
     except Acyclic:
         print("acyclic: the digraph contains no directed cycle")
         return EXIT_NEGATIVE
@@ -263,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--ell", type=int, required=True,
                            help="second block length (spelled out to avoid -l)")
         p.add_argument("--cap", type=int, default=None,
-                       help="exact-search size cap (TWOBLOCK_CAP overrides default)")
+                       help="vertex count above which every exact search runs "
+                       "under its work limit (TWOBLOCK_CAP overrides default)")
         if json:
             p.add_argument("--json", action="store_true")
         if dot:

@@ -2,16 +2,16 @@
 
 These serve double duty: the contraction pipeline asks "is this digraph
 (2k-3)-colorable?" at every step, and the test harness uses the same solvers
-as verification oracles.  Everything here is exact; instances beyond the cap
-raise :class:`CapExceeded` instead of silently approximating.  Within the cap
-an exact clique search refutes colorability before any backtracking; above it
-only the greedy clique bound does.
+as verification oracles.  Everything here is exact; above the cap the exact
+searches run under the work limit of ``detection``, and a search it cuts
+short raises :class:`CapExceeded` instead of silently approximating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import detection
 from .digraph import UGraph, iter_bits
 from .errors import CapExceeded, PreconditionViolated
 
@@ -76,17 +76,24 @@ def _greedy_clique(g: UGraph) -> list[int]:
     return clique
 
 
-def _clique_of_size(g: UGraph, size: int) -> list[int] | None:
-    """A clique of ``size`` vertices, or ``None`` when ``g`` has none; exact.
+def _clique_of_size(
+    g: UGraph, size: int, budget: int | None = None
+) -> list[int] | None:
+    """A clique of ``size`` vertices, or ``None`` when ``g`` has none.
 
     Branch and bound over (clique, candidates) bitmasks: the lowest candidate
     is either added, which keeps only its neighbours as candidates, or
     dropped.  A branch ends once its candidates cannot fill the clique, and
-    the search ends at the first clique of ``size`` vertices.
+    the search ends at the first clique of ``size`` vertices.  With a
+    ``budget`` it gives up with ``None`` after that many branches.
     """
     adj = g.adj_mask
     stack = [(0, (1 << g.n) - 1)]
     while stack:
+        if budget is not None:
+            budget -= 1
+            if budget < 0:
+                return None
         clique, cand = stack.pop()
         need = size - clique.bit_count()
         if need <= 0:
@@ -145,10 +152,12 @@ def k_colorable(g: UGraph, c: int, *, cap: int | None = None) -> Coloring | None
     """Exact test: a proper coloring with at most ``c`` colors, or ``None``.
 
     Shortcut paths (no edges, ``c >= n``, bipartite, greedy clique refusal,
-    greedy success) work at any size.  Within the cap, an exact search for a
-    clique of ``c + 1`` vertices refuses next, and only then does the
-    backtracking core run.  The clique search only ever refuses, so every
-    coloring returned is the one the backtracking finds.
+    greedy success) work at any size.  An exact search for a clique of
+    ``c + 1`` vertices refuses next, and only then does the backtracking
+    core run, so every coloring returned is the one it finds.  Above the
+    cap each search may take ``detection._HEURISTIC_BUDGET`` steps: a clique
+    search cut short refuses nothing, and a cut backtracking search raises
+    :class:`CapExceeded`, so ``None`` is always exact.
     """
     if c < 0:
         raise PreconditionViolated("palette size must be nonnegative")
@@ -172,14 +181,16 @@ def k_colorable(g: UGraph, c: int, *, cap: int | None = None) -> Coloring | None
     if len(clique) > c:
         return None
     cap = DEFAULT_COLOR_CAP if cap is None else cap
-    if n > cap:
-        raise CapExceeded(f"exact {c}-colorability needs n <= {cap}, got {n}")
-    if _clique_of_size(g, c + 1) is not None:
+    budget = None if n <= cap else detection._HEURISTIC_BUDGET
+    if _clique_of_size(g, c + 1, budget) is not None:
         return None
-    return _color_backtrack(g, c, clique)
+    return _color_backtrack(g, c, clique, budget)
 
 
-def _color_backtrack(g: UGraph, c: int, clique: list[int]) -> Coloring | None:
+def _color_backtrack(
+    g: UGraph, c: int, clique: list[int], budget: int | None = None
+) -> Coloring | None:
+    # With a ``budget``, the search raises before its ``budget + 1``-th color.
     n = g.n
     adj = g.adj_mask
     colors = [-1] * n
@@ -209,6 +220,10 @@ def _color_backtrack(g: UGraph, c: int, clique: list[int]) -> Coloring | None:
         while col < limit and (neighbor_used[v] >> col) & 1:
             col += 1
         if col < limit:
+            if budget is not None:
+                budget -= 1
+                if budget < 0:
+                    raise CapExceeded(f"{c}-colorability ran out of its work limit")
             colors[v] = col
             for w in iter_bits(adj[v]):
                 neighbor_used[w] |= 1 << col

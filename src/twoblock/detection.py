@@ -55,11 +55,13 @@ with ``_paths`` (see ``find_two_block_cycle_through_arc``).  No search
 recurses, so path length is not bounded by the interpreter's recursion
 limit.  Every certificate is built by ``certify``, which re-checks it
 with ``verify_certificate``: on bitmasks, with code of its own.  The
-searches are exponential, but the pruning keeps exhaustive proofs
-comfortable at desk scale.  Beyond the cap, strict mode refuses;
-heuristic mode runs the same search under an expansion budget (detection
-also with a limit on the pairs it searches), so its negatives are tagged
-as unverified and its longest cycle is not certified longest.
+searches are exponential, so every exact search (these three and
+``coloring.k_colorable``) runs without a limit up to its cap and under the
+work limit ``_HEURISTIC_BUDGET`` above it (detection per pair, and with at
+most ``_HEURISTIC_TRIES`` pairs); its answer is exact iff the limit refused
+nothing.  An answer the limit cut short raises :class:`CapExceeded` in
+strict mode; heuristic mode returns a ``capped`` report or the best cycle
+found.  A certificate or cycle found above the cap is returned in both.
 """
 
 from __future__ import annotations
@@ -91,13 +93,10 @@ _HEURISTIC_TRIES = 400
 _HEURISTIC_BUDGET = 20000
 
 
-def raised_cap(detect_cap: int | None, default: int) -> int:
-    """The cap of another exact search when detection runs with ``detect_cap``.
-
-    The detection cap applies as given; every other cap is raised by it but
-    never lowered below its own ``default``.
-    """
-    return default if detect_cap is None else max(detect_cap, default)
+def _cut_short(strict: bool, search: str, n: int, cap: int) -> None:
+    """Refuse, in strict mode, an answer that the work limit cut short."""
+    if strict:
+        raise CapExceeded(f"{search} on {n} > {cap} vertices ran out of its work limit")
 
 
 @dataclass(frozen=True)
@@ -257,8 +256,8 @@ def _paths(
     first sight of ``v``.  With ``partner`` > 0 a branch is also cut once
     no u->v path of ``partner`` arcs whose first step lies above the
     branch's can avoid it (``_no_partner``).  Every expanded vertex costs
-    one unit of ``budget``; once it is spent no further vertex is
-    expanded.
+    one unit of ``budget``, and so does every expansion refused once it is
+    spent: the counter drops below 0 exactly when the search was cut short.
 
     ``co`` is the set of vertices that reach ``v`` inside ``allowed``; a
     caller that already holds it passes it, and the kernel computes it
@@ -270,9 +269,9 @@ def _paths(
     if not (co >> u) & 1:
         return
     if budget is not None:
-        if budget[0] <= 0:
-            return
         budget[0] -= 1
+        if budget[0] < 0:
+            return
     # A path of min_len arcs has min_len + 1 vertices in ``co``, a cycle min_len.
     if co.bit_count() + (u == v) <= min_len:
         return
@@ -313,9 +312,9 @@ def _paths(
             ):
                 continue
             if budget is not None:
-                if budget[0] <= 0:
-                    continue
                 budget[0] -= 1
+                if budget[0] < 0:
+                    continue
             stack.append((todo, used))
             path.append(x)
             used = new_used
@@ -574,11 +573,11 @@ def find_two_block_cycle(
 ) -> TwoBlockCertificate | AbsenceReport:
     """Search for ``c(k, ell)``; a verified certificate or an absence report.
 
-    Within the cap the search is exhaustive, so a negative is a proof.  Above
-    the cap, strict mode raises :class:`CapExceeded`; heuristic mode runs the
-    same search, but gives each searched pair an expansion budget of
-    ``_HEURISTIC_BUDGET`` and stops after ``_HEURISTIC_TRIES`` searched
-    pairs, and returns a ``capped`` report when it finds nothing.
+    Within the cap the search runs without a limit.  Above it each searched
+    pair gets an expansion budget of ``_HEURISTIC_BUDGET``, and the search
+    stops after ``_HEURISTIC_TRIES`` pairs.  A negative is ``exhaustive``, a
+    proof, iff neither limit cut it short; otherwise strict mode raises
+    :class:`CapExceeded` and heuristic mode returns a ``capped`` report.
 
     A pair (u, v) is searched only if v is reachable from u, enough vertices
     lie between them, and they are joined by two internally disjoint paths;
@@ -593,19 +592,14 @@ def find_two_block_cycle(
     if k < 1 or ell < 1:
         raise PreconditionViolated("k and ell must be positive")
     cap = DEFAULT_DETECT_CAP if cap is None else cap
-    budget = None
-    if d.n > cap:
-        if strict:
-            raise CapExceeded(
-                f"exhaustive detection needs n <= {cap}, got {d.n}"
-            )
-        budget = [0]
+    budget = None if d.n <= cap else [0]
     kk, ll = max(k, ell), min(k, ell)
     n = d.n
     full = (1 << n) - 1
     need_interior = (kk - 1) + (ll - 1)
     out_mask, in_mask = d.out_mask, d.in_mask
     searched = 0
+    cut = False
     strong = (
         reach_mask(out_mask, 0, full) == full
         and reach_mask(in_mask, 0, full) == full
@@ -631,14 +625,19 @@ def find_two_block_cycle(
             if not _menger_gate(out_mask, in_mask, u, v, region, dom):
                 continue
             if budget is not None:
+                cut |= budget[0] < 0  # the last searched pair was cut short
                 if searched == _HEURISTIC_TRIES:
+                    _cut_short(strict, "detection", n, cap)
                     return AbsenceReport(k, ell, "capped", searched)
                 budget[0] = _HEURISTIC_BUDGET
             searched += 1
             pair = _pair_search(d, u, v, region, kk, ll, budget)
             if pair is not None:
                 return certify(d, *pair, k, ell)
-    return AbsenceReport(k, ell, "exhaustive" if budget is None else "capped", searched)
+    if budget is not None and (cut or budget[0] < 0):
+        _cut_short(strict, "detection", n, cap)
+        return AbsenceReport(k, ell, "capped", searched)
+    return AbsenceReport(k, ell, "exhaustive", searched)
 
 
 def find_two_block_cycle_through_arc(
@@ -758,19 +757,15 @@ def longest_cycle(
     """A longest cycle with a reproducible tie-break.
 
     Among maximum-length cycles the one whose min-vertex-first rotation is
-    lexicographically least is returned.  Above the cap, strict mode raises
-    :class:`CapExceeded`; heuristic mode runs the same search under one
-    shared expansion budget and returns the best cycle found when it runs
-    out: a genuine cycle, but not certified longest.  :class:`Acyclic` is
+    lexicographically least is returned.  Above the cap the search shares
+    one expansion budget of ``_HEURISTIC_BUDGET``; if it runs out, strict
+    mode raises :class:`CapExceeded` and heuristic mode returns the best
+    cycle found, genuine but not certified longest.  :class:`Acyclic` is
     exact in both modes, because the first cycle is searched without a
     budget and the pruning finds it without backtracking.
     """
     cap = DEFAULT_CYCLE_CAP if cap is None else cap
-    budget = None
-    if d.n > cap:
-        if strict:
-            raise CapExceeded(f"exact longest cycle needs n <= {cap}, got {d.n}")
-        budget = [_HEURISTIC_BUDGET]
+    budget = None if d.n <= cap else [_HEURISTIC_BUDGET]
     best: tuple[int, ...] = ()
     out_mask, in_mask = d.out_mask, d.in_mask
     full = (1 << d.n) - 1
@@ -791,21 +786,25 @@ def longest_cycle(
             best = tuple(cycle)
     if not best:
         raise Acyclic("the digraph contains no directed cycle")
+    if budget is not None and budget[0] < 0:
+        _cut_short(strict, "longest cycle search", d.n, cap)
     return DiCycle(best)
 
 
 def hamiltonian_cycle(d: Digraph, *, cap: int | None = None) -> DiCycle | None:
     """A spanning cycle, or ``None`` when exhaustive search proves absence.
 
-    There is no heuristic mode: above the cap the search always raises
-    :class:`CapExceeded`.
+    Above the cap the search runs under an expansion budget of
+    ``_HEURISTIC_BUDGET`` and raises :class:`CapExceeded` if it runs out
+    before an answer; there is no heuristic mode.
     """
     cap = DEFAULT_CYCLE_CAP if cap is None else cap
-    if d.n > cap:
-        raise CapExceeded(f"Hamiltonicity search needs n <= {cap}, got {d.n}")
     if d.n < 2 or not is_strong(d):
         return None
-    cycle = next(_paths(d.out_mask, d.in_mask, 0, 0, (1 << d.n) - 1, d.n), None)
+    budget = None if d.n <= cap else [_HEURISTIC_BUDGET]
+    cycle = next(_paths(d.out_mask, d.in_mask, 0, 0, (1 << d.n) - 1, d.n, budget), None)
+    if cycle is None and budget is not None and budget[0] < 0:
+        _cut_short(True, "Hamiltonicity search", d.n, cap)
     return None if cycle is None else DiCycle(tuple(cycle))
 
 

@@ -18,7 +18,6 @@ import random
 
 from .coloring import chromatic_number
 from .detection import (
-    DEFAULT_DETECT_CAP,
     AbsenceReport,
     TwoBlockCertificate,
     find_two_block_cycle,
@@ -81,18 +80,6 @@ class InstanceRecord:
                 "properties": self.properties,
             },
             sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json_line(line: str) -> "InstanceRecord":
-        data = json.loads(line)
-        return InstanceRecord(
-            data["instance_id"],
-            data["seed"],
-            data["vertex_count"],
-            data["arcs_hex"],
-            data["tags"],
-            data["properties"],
         )
 
 
@@ -282,16 +269,13 @@ def random_strong_ckl_free(
     Construction: the directed Hamiltonian cycle plus random chords, each kept
     only when it creates no two-block cycle.  Chord trials use the
     arc-anchored incremental search (complete because the digraph before the
-    trial is already free); the finished digraph gets one full exhaustive
-    verification.  Deterministic per seed.
+    trial is already free); strict detection then proves the result free,
+    or raises :class:`CapExceeded` above ``cap``.  Deterministic per seed.
     """
     if k < 2 or ell < 1 or ell > k:
         raise PreconditionViolated("need k >= 2 and k >= ell >= 1")
     if n < 3:
         raise PreconditionViolated("need n >= 3")
-    cap = DEFAULT_DETECT_CAP if cap is None else cap
-    if n > cap:
-        raise CapExceeded(f"generator needs n <= {cap}, got {n}")
     rng = random.Random(seed)
     arcs = {(i, (i + 1) % n) for i in range(n)}
     return _sprinkle_chords(n, k, ell, arcs, rng, cap)
@@ -312,16 +296,13 @@ def random_cycle_tree_free(
     and then sprinkles random extra arcs, each kept only when the arc-anchored
     detector finds nothing through it.  Produces instances whose contraction
     pipeline sees multi-cycle trees and external arcs, which the Hamiltonian
-    generator never does.
+    generator never does; the result is verified as that generator's is.
     """
     if k < 2 or ell < 1 or ell > k:
         raise PreconditionViolated("need k >= 2 and k >= ell >= 1")
     base_len = max(2 * k - 2, 2)
     if n < base_len:
         raise PreconditionViolated(f"need n >= {base_len}")
-    cap = DEFAULT_DETECT_CAP if cap is None else cap
-    if n > cap:
-        raise CapExceeded(f"generator needs n <= {cap}, got {n}")
     rng = random.Random(seed)
     arcs: set[tuple[int, int]] = {(i, (i + 1) % base_len) for i in range(base_len)}
     total = base_len
@@ -344,11 +325,11 @@ def _sprinkle_chords(
     ell: int,
     arcs: set[tuple[int, int]],
     rng: random.Random,
-    cap: int,
+    cap: int | None,
 ) -> Digraph:
     """Add to the ``c(k, ell)``-free ``arcs`` every non-arc, in an order
     shuffled by ``rng``, that closes no ``c(k, ell)``; then verify the result
-    by exhaustive detection.
+    by strict detection with ``cap``, which proves it or raises.
 
     Each trial is the arc-anchored search, complete because the digraph
     before the trial is already free.  An accepted trial becomes the
@@ -364,7 +345,7 @@ def _sprinkle_chords(
         if find_two_block_cycle_through_arc(trial, k, ell, cand) is None:
             d = trial
     outcome = find_two_block_cycle(d, k, ell, cap=cap)
-    if not isinstance(outcome, AbsenceReport) or outcome.mode != "exhaustive":
+    if not isinstance(outcome, AbsenceReport):
         raise PreconditionViolated(
             "generator postcondition failed: instance is not verified free"
         )
@@ -457,7 +438,9 @@ def search_problem1(n: int, *, workers: int = 1) -> list[InstanceRecord]:
     invariants, so the records are those of a sweep over all labeled
     tournaments.  ``workers`` processes share the classes.
     """
-    if not 4 <= n <= CLASS_CAP:
+    if n < 4:
+        raise PreconditionViolated(f"search needs 4 <= n <= {CLASS_CAP}")
+    if n > CLASS_CAP:
         raise CapExceeded(f"search needs 4 <= n <= {CLASS_CAP}")
     classes = tournament_classes(n)
     if workers > 1:

@@ -57,12 +57,6 @@ def read_edge_list(source: str | IO[str]) -> Digraph:
     return Digraph(n, frozenset(arcs))
 
 
-def write_edge_list(d: Digraph) -> str:
-    lines = [str(d.n)]
-    lines.extend(f"{t} {h}" for t, h in sorted(d.arcs))
-    return "\n".join(lines) + "\n"
-
-
 def _dot_color(index: int, palette: int) -> str:
     hue = index / max(palette, 1)
     return f"{hue:.3f} 0.45 1.000"

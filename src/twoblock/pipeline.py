@@ -23,7 +23,6 @@ from functools import cached_property
 from itertools import islice
 
 from .coloring import (
-    DEFAULT_COLOR_CAP,
     Coloring,
     EliminationOrder,
     degeneracy,
@@ -32,13 +31,11 @@ from .coloring import (
     k_colorable,
 )
 from .detection import (
-    DEFAULT_CYCLE_CAP,
     TwoBlockCertificate,
     _paths,
     certify,
     find_two_block_cycle,
     longest_cycle,
-    raised_cap,
 )
 from .digraph import (
     Digraph,
@@ -117,15 +114,13 @@ def build_contraction_trace(
 
     Every level is checked for ``c(k, ell)``; a hit aborts the trace and is
     lifted back to the input digraph, re-verified at each level on the way.
-    ``detect_cap`` also raises the longest-cycle and coloring caps, never
-    lowering them below their defaults (see :func:`raised_cap`).
+    A given ``detect_cap`` is also the longest-cycle and coloring cap; a
+    search above its cap runs under the work limit (see ``detection``).
     """
     if k < 2 or ell < 1 or ell > k:
         raise PreconditionViolated("need k >= 2 and k >= ell >= 1")
     if not is_strong(d):
         raise NotStrong("the pipeline needs a strongly connected digraph")
-    cycle_cap = raised_cap(detect_cap, DEFAULT_CYCLE_CAP)
-    color_cap = raised_cap(detect_cap, DEFAULT_COLOR_CAP)
     steps: list[TraceStep] = []
     cur = d
     prev_len: int | None = None
@@ -135,10 +130,10 @@ def build_contraction_trace(
             for step in reversed(steps):
                 found = _uncontract_certificate(found, step, k, ell)
             return found
-        coloring = k_colorable(underlying_graph(cur), 2 * k - 3, cap=color_cap)
+        coloring = k_colorable(underlying_graph(cur), 2 * k - 3, cap=detect_cap)
         if coloring is not None:
             return ContractionTrace(k, ell, tuple(steps), cur, coloring, strict)
-        cyc = longest_cycle(cur, cap=cycle_cap, strict=strict)
+        cyc = longest_cycle(cur, cap=detect_cap, strict=strict)
         if cyc.length < 2 * k - 2:
             raise StructuralViolation(
                 f"longest cycle has length {cyc.length} < {2 * k - 2} although "
@@ -766,7 +761,6 @@ def validate_trace(
     criterion 6.
     """
     k = trace.k
-    cycle_cap = raised_cap(detect_cap, DEFAULT_CYCLE_CAP)
     prev_len: int | None = None
     levels = [step.digraph for step in trace.steps] + [trace.final]
     for i, step in enumerate(trace.steps):
@@ -783,7 +777,7 @@ def validate_trace(
         if redone != levels[i + 1] or pmap != step.pmap:
             raise StructuralViolation(f"level {i} contraction does not replay")
         if deep:
-            exact = longest_cycle(reverse(step.digraph), cap=cycle_cap)
+            exact = longest_cycle(reverse(step.digraph), cap=detect_cap)
             if exact.length != step.cycle.length:
                 raise StructuralViolation(
                     f"level {i} contracted cycle is not longest"

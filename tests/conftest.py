@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from twoblock import detection
 from twoblock.cli import figure1_tournament
 from twoblock.digraph import Digraph
 
@@ -20,6 +21,20 @@ def fig1() -> Digraph:
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return Path(__file__).parent.parent / "fixtures"
+
+
+@pytest.fixture
+def work_limit(monkeypatch):
+    """``work_limit(budget, tries=None)`` sets the work limit that every exact
+    search reads above its cap and, if ``tries`` is given, the pair limit of
+    detection, until the test ends."""
+
+    def set_limits(budget: int, tries: int | None = None) -> None:
+        monkeypatch.setattr(detection, "_HEURISTIC_BUDGET", budget)
+        if tries is not None:
+            monkeypatch.setattr(detection, "_HEURISTIC_TRIES", tries)
+
+    return set_limits
 
 
 @st.composite

@@ -9,10 +9,15 @@ from twoblock import cli
 from twoblock.cli import main
 from twoblock.digraph import build_digraph
 from twoblock.errors import AttachMismatch, ParseError, StructuralViolation
-from twoblock.io import read_edge_list, write_dot, write_edge_list
+from twoblock.io import read_edge_list, write_dot
 
 from oracles import random_digraph
 import random
+
+
+def write_edge_list(d):
+    """The edge-list text of ``d``: the vertex count, then its sorted arcs."""
+    return f"{d.n}\n" + "".join(f"{t} {h}\n" for t, h in sorted(d.arcs))
 
 
 def write_graph(tmp_path, name, n, arcs):
@@ -102,13 +107,25 @@ class TestExitCodes:
     def test_color_non_strong_is_precondition(self, non_strong_file, capsys):
         assert main(["color", "--k", "4", "--ell", "1", non_strong_file]) == 3
 
-    def test_cap_exceeded_in_strict_mode(self, tmp_path, capsys):
+    def test_cap_exceeded_in_strict_mode(
+        self, tmp_path, capsys, fixtures_dir, work_limit
+    ):
+        # A directed cycle has no pair to search, so above the cap its
+        # negative is still a proof ...
         path = write_graph(
             tmp_path, "big.edges", 14, [(i, (i + 1) % 14) for i in range(14)]
         )
-        assert main(["detect", "--k", "2", "--ell", "1", "--cap", "12", path]) == 4
+        assert main(["detect", "--k", "2", "--ell", "1", "--cap", "12", path]) == 1
+        assert json.loads(capsys.readouterr().out)["mode"] == "exhaustive"
+        # ... and one expansion per pair cuts Figure 1's proof short.
+        work_limit(1)
+        fig1 = str(fixtures_dir / "figure1.edges")
+        assert main(["detect", "--k", "4", "--ell", "1", "--cap", "4", fig1]) == 4
+        assert "ran out of its work limit" in capsys.readouterr().err
 
-    def test_heuristic_mode_reports_capped(self, tmp_path, capsys):
+    def test_heuristic_mode_reports_capped(
+        self, tmp_path, capsys, fixtures_dir, work_limit
+    ):
         path = write_graph(
             tmp_path, "big.edges", 14, [(i, (i + 1) % 14) for i in range(14)]
         )
@@ -116,6 +133,11 @@ class TestExitCodes:
             ["detect", "--k", "2", "--ell", "1", "--cap", "12", "--heuristic", path]
         )
         assert code == 1
+        assert json.loads(capsys.readouterr().out)["mode"] == "exhaustive"
+        work_limit(1)
+        fig1 = str(fixtures_dir / "figure1.edges")
+        argv = ["detect", "--k", "4", "--ell", "1", "--cap", "4", "--heuristic", fig1]
+        assert main(argv) == 1
         assert json.loads(capsys.readouterr().out)["mode"] == "capped"
 
     @pytest.mark.parametrize("error", [StructuralViolation, AttachMismatch])
@@ -224,6 +246,12 @@ class TestCommands:
             capsys.readouterr().out
         )
         assert out.read_text() == ""
+
+    def test_search_below_four_is_precondition(self, tmp_path, capsys):
+        out = tmp_path / "res3.jsonl"
+        assert main(["search", "--n", "3", "--out", str(out)]) == 3
+        assert "search needs 4 <= n <= 8" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_search_above_class_cap(self, tmp_path, capsys):
         out = tmp_path / "res9.jsonl"

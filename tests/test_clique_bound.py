@@ -1,8 +1,9 @@
 """The exact clique refutation in ``k_colorable``.
 
-Within the cap, a clique of ``c + 1`` vertices answers "not c-colorable"
-before the backtracking search starts; above the cap the search is still
-refused, whatever the clique."""
+A clique of ``c + 1`` vertices answers "not c-colorable" before the
+backtracking search starts.  Above the cap both searches run under the work
+limit, and only a backtracking search that the limit cuts short is
+refused."""
 
 from __future__ import annotations
 
@@ -90,13 +91,19 @@ def test_pipeline_instance_needs_no_backtracking(monkeypatch):
     assert run.trace.final_coloring == Coloring((0,), 1)
 
 
-def test_above_cap_still_refused_when_greedy_clique_misses():
+def test_above_cap_still_refused_when_greedy_clique_misses(work_limit):
     # K4 on 0..3; hub 4 touches 0 and three leaves, so it has the highest
     # degree and the greedy clique {4, 0} never reaches the K4.
     edges = list(combinations(range(4), 2)) + [(0, 4), (4, 5), (4, 6), (4, 7)]
     g = UGraph(8, frozenset(edges))
     assert len(_greedy_clique(g)) <= 3
     assert sorted(_clique_of_size(g, 4)) == [0, 1, 2, 3]
+    # Above the cap the clique search finds the K4 within the work limit.
+    assert k_colorable(g, 3, cap=7) is None
+    assert k_colorable(g, 3, cap=8) is None
+    # With one unit the clique search gives up and the backtracking search
+    # is cut short, so the answer is refused.
+    work_limit(1)
+    assert _clique_of_size(g, 4, 1) is None
     with pytest.raises(CapExceeded):
         k_colorable(g, 3, cap=7)
-    assert k_colorable(g, 3, cap=8) is None

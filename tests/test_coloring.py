@@ -64,14 +64,19 @@ class TestKColorable:
     def test_zero_colors_empty_graph(self):
         assert k_colorable(UGraph(0, frozenset()), 0) is not None
 
-    def test_cap(self):
+    def test_cap(self, work_limit):
         # chi = 4 keeps every shortcut (greedy, bipartite, clique) from
-        # resolving c = 3, so the capped exact search must refuse.
+        # resolving c = 3.  Above the cap the backtracking search finishes
+        # within the work limit, so its None is exact; a small limit cuts it
+        # short, and then it refuses.
         g = grotzsch()
-        with pytest.raises(CapExceeded):
-            k_colorable(g, 3, cap=4)
+        assert k_colorable(g, 3, cap=4) is None
         assert k_colorable(g, 3, cap=11) is None
         assert chromatic_number(g)[0] == 4
+        assert chromatic_number(g, cap=4) == chromatic_number(g)
+        work_limit(10)
+        with pytest.raises(CapExceeded, match="ran out of its work limit"):
+            k_colorable(g, 3, cap=4)
 
 
 class TestChromaticNumber:

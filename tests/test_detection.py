@@ -88,16 +88,28 @@ class TestFindTwoBlockCycle:
         with pytest.raises(PreconditionViolated):
             find_two_block_cycle(fig1, 0, 1)
 
-    def test_strict_cap(self):
-        d = directed_cycle(13)
-        with pytest.raises(CapExceeded):
-            find_two_block_cycle(d, 2, 1, cap=12)
+    def test_strict_cap(self, fig1, work_limit):
+        # A directed cycle has no pair to search, so no limit can cut its
+        # search short: above the cap strict mode still proves absence.
+        result = find_two_block_cycle(directed_cycle(13), 2, 1, cap=12)
+        assert result == AbsenceReport(2, 1, "exhaustive", 0)
+        # One expansion per pair, or a single pair, cuts Figure 1's proof short.
+        work_limit(1)
+        with pytest.raises(CapExceeded, match="ran out of its work limit"):
+            find_two_block_cycle(fig1, 4, 1, cap=4)
+        work_limit(20000, tries=1)
+        with pytest.raises(CapExceeded, match="ran out of its work limit"):
+            find_two_block_cycle(fig1, 4, 1, cap=4)
 
-    def test_heuristic_mode_tags_capped(self):
-        d = directed_cycle(13)
-        result = find_two_block_cycle(d, 2, 1, cap=12, strict=False)
-        assert isinstance(result, AbsenceReport)
-        assert result.mode == "capped"
+    def test_heuristic_mode_tags_capped(self, fig1, work_limit):
+        result = find_two_block_cycle(directed_cycle(13), 2, 1, cap=12, strict=False)
+        assert result == AbsenceReport(2, 1, "exhaustive", 0)
+        work_limit(1)
+        result = find_two_block_cycle(fig1, 4, 1, cap=4, strict=False)
+        assert result == AbsenceReport(4, 1, "capped", 13)
+        work_limit(20000, tries=1)
+        result = find_two_block_cycle(fig1, 4, 1, cap=4, strict=False)
+        assert result == AbsenceReport(4, 1, "capped", 1)
 
     def test_heuristic_mode_can_find(self):
         arcs = [(i, (i + 1) % 13) for i in range(13)] + [(0, 2)]
@@ -354,35 +366,30 @@ class TestIterativeSearches:
             gc.enable()
 
 
-def unbounded_capped(d, k, ell):
-    """Heuristic detection with its budget and pair limit past any need."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(detection, "_HEURISTIC_BUDGET", 10**12)
-        mp.setattr(detection, "_HEURISTIC_TRIES", 10**12)
-        return find_two_block_cycle(d, k, ell, cap=d.n - 1, strict=False)
+def heuristic_above_cap(d, k, ell):
+    """Heuristic detection above the cap, one below n."""
+    return find_two_block_cycle(d, k, ell, cap=d.n - 1, strict=False)
 
 
-def relabeled_exhaustive(d, k, ell):
-    """The exhaustive result as JSON, a negative relabeled ``capped``."""
-    exact = find_two_block_cycle(d, k, ell).to_json_dict()
-    if "mode" in exact:
-        exact["mode"] = "capped"
-    return exact
-
-
-@settings(max_examples=200, deadline=None)
-@given(digraphs(min_n=0, max_n=8), st.integers(1, 4), st.integers(1, 4))
-def test_unbounded_heuristic_is_the_exhaustive_search(d, k, ell):
-    # Heuristic mode is the exhaustive pair loop under a budget, so with no
-    # budget it returns the same certificate or the same pair count.
-    assert unbounded_capped(d, k, ell).to_json_dict() == relabeled_exhaustive(
-        d, k, ell
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(d=digraphs(min_n=0, max_n=8), k=st.integers(1, 4), ell=st.integers(1, 4))
+def test_unbounded_heuristic_is_the_exhaustive_search(work_limit, d, k, ell):
+    # Above the cap detection is the exhaustive pair loop under a budget, so
+    # with limits past any need it gives the same answer, mode included.
+    work_limit(10**12, tries=10**12)
+    assert heuristic_above_cap(d, k, ell).to_json_dict() == (
+        find_two_block_cycle(d, k, ell).to_json_dict()
     )
 
 
-def test_unbounded_heuristic_on_figure1(fig1):
-    assert unbounded_capped(fig1, 4, 1).to_json_dict() == {
-        "k": 4, "ell": 1, "mode": "capped", "pairs_checked": 13
+def test_unbounded_heuristic_on_figure1(fig1, work_limit):
+    work_limit(10**12, tries=10**12)
+    assert heuristic_above_cap(fig1, 4, 1).to_json_dict() == {
+        "k": 4, "ell": 1, "mode": "exhaustive", "pairs_checked": 13
     }
 
 
@@ -560,9 +567,18 @@ class TestLongestCycle:
         d = build_digraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
         assert longest_cycle(d).vertices == (0, 1, 2)
 
-    def test_strict_cap(self):
-        with pytest.raises(CapExceeded):
-            longest_cycle(directed_cycle(21), cap=20)
+    def test_strict_cap(self, work_limit):
+        # The first cycle through a start is searched without a budget, so a
+        # 21-cycle is proved longest above the cap of 20.
+        assert longest_cycle(directed_cycle(21), cap=20).length == 21
+        # Reversed and with the chord 0 -> 2, the first cycle is the triangle
+        # (0, 2, 1), and the search for a longer one spends the budget.
+        d = build_digraph(21, [(i, (i - 1) % 21) for i in range(21)] + [(0, 2)])
+        assert longest_cycle(d, cap=20).vertices == (0, *range(20, 0, -1))
+        work_limit(1)
+        with pytest.raises(CapExceeded, match="ran out of its work limit"):
+            longest_cycle(d, cap=20)
+        assert longest_cycle(d, cap=20, strict=False).vertices == (0, 2, 1)
 
     def test_matches_oracle_on_randoms(self):
         rng = random.Random(31)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -26,6 +27,18 @@ from twoblock.harness import (
 )
 
 from oracles import canonical_form_brute, random_digraph
+
+
+def record_from_json_line(line: str) -> InstanceRecord:
+    data = json.loads(line)
+    return InstanceRecord(
+        data["instance_id"],
+        data["seed"],
+        data["vertex_count"],
+        data["arcs_hex"],
+        data["tags"],
+        data["properties"],
+    )
 
 # OEIS A000568 (tournaments on n vertices up to isomorphism) and A051337
 # (the strong ones), n = 1..7.
@@ -73,7 +86,7 @@ class TestEncoding:
         rec = InstanceRecord(
             "x-1", 7, 5, encode_arcs_hex(fig1), {"strong": True}, {"chi": 5}
         )
-        back = InstanceRecord.from_json_line(rec.to_json_line())
+        back = record_from_json_line(rec.to_json_line())
         assert back == rec
         assert back.digraph() == fig1
 
@@ -235,7 +248,7 @@ class TestSearchProblem1:
             search_problem1(5)
 
     def test_range_check(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(PreconditionViolated):
             search_problem1(3)
         with pytest.raises(CapExceeded):
             search_problem1(9)

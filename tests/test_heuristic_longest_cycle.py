@@ -1,8 +1,9 @@
-"""Heuristic longest cycle: the exact search under an expansion budget.
+"""Longest cycle above the cap: the exact search under an expansion budget.
 
-Above the cap, ``longest_cycle(strict=False)`` returns the best cycle found
-before the budget runs out, and raises ``Acyclic`` only for a digraph with no
-cycle at all.
+The answer is certified longest when the budget never runs out.  When it
+runs out, ``longest_cycle(strict=False)`` returns the best cycle found
+so far, and strict mode raises ``CapExceeded``.  ``Acyclic`` is raised only
+for a digraph with no cycle at all.
 """
 
 from __future__ import annotations

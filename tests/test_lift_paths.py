@@ -3,8 +3,8 @@
 A certificate can only come from a contracted or shortcut level after a
 capped miss on the input: in strict mode the exhaustive proof on level 0
 rules out certificates on every later level.  With the heuristic given no
-tries, every detection above the cap is such a miss, so these families
-reach both lift paths.  The digests were recorded before the lift paths
+tries, every detection above the cap that has a pair to search is such a
+miss, so these families reach both lift paths.  The digests were recorded before the lift paths
 were rewritten to one splice rule each; errors count as ``None`` there.
 """
 

@@ -154,14 +154,13 @@ def test_detection_results_digest():
 
 
 def test_capped_detection_equals_exhaustive():
-    # Heuristic mode, forced by a cap one below n, runs the exhaustive pair
-    # loop under a budget; at the default budget and pair limit these small
-    # digraphs never exhaust either, so every answer is the exhaustive one.
+    # Heuristic mode with a cap one below n runs the exhaustive pair loop
+    # under a budget; at the default budget and pair limit these small
+    # digraphs never exhaust either, so every answer is the exhaustive one,
+    # mode included.
     for d in detection_digest_cases():
         for k, ell in DETECTION_POINTS:
             exact = find_two_block_cycle(d, k, ell).to_json_dict()
-            if "mode" in exact:
-                exact["mode"] = "capped"
             capped = find_two_block_cycle(d, k, ell, cap=d.n - 1, strict=False)
             assert capped.to_json_dict() == exact
 
