@@ -62,6 +62,10 @@ most ``_HEURISTIC_TRIES`` pairs); its answer is exact iff the limit refused
 nothing.  An answer the limit cut short raises :class:`CapExceeded` in
 strict mode; heuristic mode returns a ``capped`` report or the best cycle
 found.  A certificate or cycle found above the cap is returned in both.
+
+A proof of absence made by ``prove_free``, the generators' final check, is
+kept on the digraph object it proved, and a later detection on that same
+object within its cap returns it instead of searching again.
 """
 
 from __future__ import annotations
@@ -91,6 +95,10 @@ DEFAULT_CYCLE_CAP = 20
 
 _HEURISTIC_TRIES = 400
 _HEURISTIC_BUDGET = 20000
+
+# The attribute on which ``prove_free`` keeps, on the digraph object it
+# proved, a dict from ``(max(k, ell), min(k, ell))`` to ``pairs_checked``.
+_PROOFS = "_two_block_proofs"
 
 
 def _cut_short(strict: bool, search: str, n: int, cap: int) -> None:
@@ -588,12 +596,22 @@ def find_two_block_cycle(
     digraph is strong.  If it is, every vertex reaches and is reached by
     every other, so every forward and backward reachable set below is the
     full vertex set and none is computed.
+
+    On the very object that ``prove_free`` proved free of ``c(k, ell)`` or
+    ``c(ell, k)`` (the generators' outputs), a call within the cap returns
+    that proof's report, in either mode, without searching: the search
+    would run without a limit and give the same report.  Any other digraph
+    object is searched, equal arcs or not; above the cap the record is
+    ignored, so the work limit applies as on any other object.
     """
     if k < 1 or ell < 1:
         raise PreconditionViolated("k and ell must be positive")
     cap = DEFAULT_DETECT_CAP if cap is None else cap
-    budget = None if d.n <= cap else [0]
     kk, ll = max(k, ell), min(k, ell)
+    proofs = getattr(d, _PROOFS, None)
+    if proofs is not None and d.n <= cap and (kk, ll) in proofs:
+        return AbsenceReport(k, ell, "exhaustive", proofs[kk, ll])
+    budget = None if d.n <= cap else [0]
     n = d.n
     full = (1 << n) - 1
     need_interior = (kk - 1) + (ll - 1)
@@ -638,6 +656,28 @@ def find_two_block_cycle(
         _cut_short(strict, "detection", n, cap)
         return AbsenceReport(k, ell, "capped", searched)
     return AbsenceReport(k, ell, "exhaustive", searched)
+
+
+def prove_free(
+    d: Digraph, k: int, ell: int, *, cap: int | None = None
+) -> TwoBlockCertificate | AbsenceReport:
+    """Strict ``find_two_block_cycle`` whose proof of absence is kept on ``d``.
+
+    An ``exhaustive`` report is recorded on the object ``d`` itself, under
+    ``(max(k, ell), min(k, ell))``, and answers later calls of
+    ``find_two_block_cycle`` on that object within their cap.  The record
+    is not keyed by value: a digraph built anew from the same arcs, a
+    relabeling, ``d.with_arc(...)`` and ``reverse(d)`` carry none.  Only
+    this module reads or writes it.
+    """
+    result = find_two_block_cycle(d, k, ell, cap=cap)
+    if isinstance(result, AbsenceReport):
+        proofs = getattr(d, _PROOFS, None)
+        if proofs is None:
+            proofs = {}
+            object.__setattr__(d, _PROOFS, proofs)
+        proofs[max(k, ell), min(k, ell)] = result.pairs_checked
+    return result
 
 
 def find_two_block_cycle_through_arc(

@@ -94,15 +94,17 @@ def ham_degeneracy_order(
     """Peel a ``(k + ell - 1)``-bounded deletion order, or surface a certificate.
 
     The input promise (no ``c(k, ell)``) is checked first and a violation is
-    returned as the certificate.  Each round then deletes the lowest-id vertex
-    of underlying degree at most ``k + ell - 1`` and adds the shortcut arc
-    between its cycle neighbors (set semantics: re-adding an existing arc
-    changes nothing, and only genuinely new arcs participate in certificate
-    replay).  Every level keeps the input's vertex ids, with the deleted
-    vertices isolated.  Recursion stops once at most ``k + ell`` vertices
-    remain; any order works there.  A round with no low-degree vertex can
-    only happen after a capped (heuristic) negative; detection then runs on
-    that level and the certificate is replayed back.
+    returned as the certificate; on a generator's output within the cap, the
+    generator's proof on that object answers the check without a second
+    search (see ``detection.prove_free``).  Each round then deletes the
+    lowest-id vertex of underlying degree at most ``k + ell - 1`` and adds
+    the shortcut arc between its cycle neighbors (set semantics: re-adding
+    an existing arc changes nothing, and only genuinely new arcs participate
+    in certificate replay).  Every level keeps the input's vertex ids, with
+    the deleted vertices isolated.  Recursion stops once at most ``k + ell``
+    vertices remain; any order works there.  A round with no low-degree
+    vertex can only happen after a capped (heuristic) negative; detection
+    then runs on that level and the certificate is replayed back.
     """
     if k < 1 or ell < 1 or k + ell < 3:
         raise PreconditionViolated("need k, ell >= 1 and k + ell >= 3")

@@ -24,6 +24,7 @@ from .detection import (
     find_two_block_cycle_through_arc,
     hamiltonian_cycle,
     longest_cycle,
+    prove_free,
 )
 from .digraph import Digraph, is_strong, iter_bits, underlying_graph
 from .errors import CapExceeded, PreconditionViolated, StructuralViolation
@@ -270,7 +271,8 @@ def random_strong_ckl_free(
     only when it creates no two-block cycle.  Chord trials use the
     arc-anchored incremental search (complete because the digraph before the
     trial is already free); strict detection then proves the result free,
-    or raises :class:`CapExceeded` above ``cap``.  Deterministic per seed.
+    or raises :class:`CapExceeded` above ``cap``.  The proof is kept on the
+    returned object (see ``_sprinkle_chords``).  Deterministic per seed.
     """
     if k < 2 or ell < 1 or ell > k:
         raise PreconditionViolated("need k >= 2 and k >= ell >= 1")
@@ -296,7 +298,8 @@ def random_cycle_tree_free(
     and then sprinkles random extra arcs, each kept only when the arc-anchored
     detector finds nothing through it.  Produces instances whose contraction
     pipeline sees multi-cycle trees and external arcs, which the Hamiltonian
-    generator never does; the result is verified as that generator's is.
+    generator never does; the result is verified as that generator's is,
+    and the proof is kept on it the same way.
     """
     if k < 2 or ell < 1 or ell > k:
         raise PreconditionViolated("need k >= 2 and k >= ell >= 1")
@@ -333,7 +336,10 @@ def _sprinkle_chords(
 
     Each trial is the arc-anchored search, complete because the digraph
     before the trial is already free.  An accepted trial becomes the
-    current digraph, so every trial extends the masks of the last.
+    current digraph, so every trial extends the masks of the last.  The
+    final proof is ``prove_free``'s, so it stays on the returned object:
+    ``find_two_block_cycle`` on that object for ``(k, ell)`` or
+    ``(ell, k)`` within its cap returns it instead of searching again.
     """
     candidates = [
         (i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in arcs
@@ -344,7 +350,7 @@ def _sprinkle_chords(
         trial = d.with_arc(*cand)
         if find_two_block_cycle_through_arc(trial, k, ell, cand) is None:
             d = trial
-    outcome = find_two_block_cycle(d, k, ell, cap=cap)
+    outcome = prove_free(d, k, ell, cap=cap)
     if not isinstance(outcome, AbsenceReport):
         raise PreconditionViolated(
             "generator postcondition failed: instance is not verified free"

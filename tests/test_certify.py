@@ -151,3 +151,23 @@ def test_certificates_are_built_only_in_certify():
                 func = node.name
             stack.extend((child, func) for child in ast.iter_child_nodes(node))
     assert [call.rsplit(":", 1)[0] for call in calls] == ["detection.py:certify"], calls
+
+
+def test_only_detection_names_the_proof_record():
+    # The generators' proof of absence is kept on the digraph under
+    # ``detection._PROOFS``; no other module may read or write it, by the
+    # attribute's name or by the constant's.
+    names = {detection._PROOFS, "_PROOFS"}
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            named = {
+                getattr(node, "id", None),
+                getattr(node, "attr", None),
+                getattr(node, "name", None),
+                node.value if isinstance(node, ast.Constant) else None,
+            }
+            if named & names:
+                uses.append(f"{path.name}:{node.lineno}")
+    assert {use.split(":")[0] for use in uses} == {"detection.py"}, uses

@@ -218,16 +218,40 @@ class TestCommands:
         assert main(["longest-cycle", "--json", c6_file]) == 0
         assert json.loads(capsys.readouterr().out)["length"] == 6
 
-    def test_longest_cycle_cap_never_lowers_default(self, c6_file, capsys):
+    def test_longest_cycle_above_cap_search_that_finishes_is_exact(
+        self, c6_file, capsys
+    ):
         assert main(["longest-cycle", "--json", "--cap", "5", c6_file]) == 0
         assert json.loads(capsys.readouterr().out)["length"] == 6
 
-    def test_chromatic_cap_never_lowers_default(self, tmp_path, capsys):
+    def test_longest_cycle_above_cap_cut_short_exits_4(
+        self, tmp_path, capsys, work_limit
+    ):
+        # The digon 0 <-> 1 is the first cycle found, so the Hamiltonian
+        # cycle needs a second search, which a limit of 1 cuts short.
+        arcs = [(i, (i + 1) % 6) for i in range(6)] + [(1, 0)]
+        path = write_graph(tmp_path, "c6d.edges", 6, arcs)
+        argv = ["longest-cycle", "--json", "--cap", "5", "--strict", path]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["length"] == 6
+        work_limit(1)
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "ran out of its work limit" in captured.err
+
+    @pytest.fixture
+    def w5_file(self, tmp_path):
         # An odd wheel needs the backtracking core to rule out 3 colors.
         arcs = [(i, (i + 1) % 5) for i in range(5)] + [(5, i) for i in range(5)]
-        path = write_graph(tmp_path, "w5.edges", 6, arcs)
-        assert main(["chromatic", "--json", "--cap", "5", path]) == 0
+        return write_graph(tmp_path, "w5.edges", 6, arcs)
+
+    def test_chromatic_above_cap_search_that_finishes_is_exact(self, w5_file, capsys):
+        assert main(["chromatic", "--json", "--cap", "5", w5_file]) == 0
         assert json.loads(capsys.readouterr().out)["chi"] == 4
+
+    def test_chromatic_above_cap_cut_short_exits_4(self, w5_file, capsys, work_limit):
+        work_limit(1)
+        assert main(["chromatic", "--json", "--cap", "5", w5_file]) == 4
 
     def test_longest_cycle_acyclic(self, non_strong_file, capsys):
         assert main(["longest-cycle", non_strong_file]) == 1
