@@ -20,6 +20,7 @@ from .coloring import chromatic_number
 from .detection import (
     AbsenceReport,
     TwoBlockCertificate,
+    certify,
     find_two_block_cycle,
     find_two_block_cycle_through_arc,
     hamiltonian_cycle,
@@ -30,6 +31,8 @@ from .digraph import Digraph, is_strong, iter_bits, underlying_graph
 from .errors import CapExceeded, PreconditionViolated, StructuralViolation
 
 CLASS_CAP = 8
+
+Detection = TwoBlockCertificate | AbsenceReport
 
 
 def encode_arcs_hex(d: Digraph) -> str:
@@ -358,21 +361,24 @@ def _sprinkle_chords(
     return d
 
 
-def _pair_verdicts(d: Digraph) -> list[tuple[int, int, bool]]:
-    """``(k, ell, d contains c(k, ell))`` for k = 1, ..., n-1 and ell = n - k.
+def _pair_results(d: Digraph) -> dict[tuple[int, int], Detection]:
+    """``find_two_block_cycle(d, k, ell)`` for each unordered pair with
+    ``k + ell = n``, keyed ``(k, ell)`` with ``k <= ell``.  ``c(k, ell)``
+    and ``c(ell, k)`` are the same digraph, so each unordered pair is
+    searched once."""
+    n = d.n
+    return {(k, n - k): find_two_block_cycle(d, k, n - k) for k in range(1, n // 2 + 1)}
 
-    ``c(k, ell)`` and ``c(ell, k)`` are the same digraph, so each unordered
-    pair is searched once, as ``(min, max)``, the first time it comes up.
-    """
-    searched: dict[tuple[int, int], bool] = {}
+
+def _pair_verdicts(
+    n: int, results: dict[tuple[int, int], Detection]
+) -> list[tuple[int, int, bool]]:
+    """``(k, ell, contains c(k, ell))`` for k = 1, ..., n-1 and ell = n - k,
+    read from ``_pair_results``."""
     verdicts = []
-    for k in range(1, d.n):
-        ell = d.n - k
-        key = (min(k, ell), max(k, ell))
-        if key not in searched:
-            found = find_two_block_cycle(d, key[0], key[1])
-            searched[key] = isinstance(found, TwoBlockCertificate)
-        verdicts.append((k, ell, searched[key]))
+    for k in range(1, n):
+        found = results[min(k, n - k), max(k, n - k)]
+        verdicts.append((k, n - k, isinstance(found, TwoBlockCertificate)))
     return verdicts
 
 
@@ -380,7 +386,9 @@ def _evaluate_tournament(n: int, bits: int) -> InstanceRecord | None:
     d = _tournament(n, bits)
     if not is_strong(d):
         return None
-    verdicts = {f"{k},{ell}": found for k, ell, found in _pair_verdicts(d)}
+    verdicts = {
+        f"{k},{ell}": found for k, ell, found in _pair_verdicts(n, _pair_results(d))
+    }
     if all(verdicts.values()):
         return None
     ham = hamiltonian_cycle(d)
@@ -398,9 +406,12 @@ def _evaluate_tournament(n: int, bits: int) -> InstanceRecord | None:
     )
 
 
-def _members(d: Digraph) -> list[int]:
+def _members(d: Digraph) -> list[tuple[int, tuple[int, ...]]]:
     """The ``_tournament`` bit patterns of the ``n!`` relabelings of the
-    tournament ``d``, ascending and without repeats."""
+    tournament ``d``, ascending and without repeats, each with the first
+    permutation (in ``itertools.permutations`` order) that gives it: the
+    member's arcs are ``perm[t] -> perm[h]`` for the arcs ``t -> h`` of
+    ``d``."""
     n = d.n
     # bit[i][j] is the pattern bit that the arc i -> j sets: that of the
     # pair (i, j) when i < j, none otherwise.
@@ -408,9 +419,10 @@ def _members(d: Digraph) -> list[int]:
     for idx, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
         bit[i][j] = 1 << idx
     arcs = tuple(d.arcs)
-    return sorted(
-        {sum(bit[perm[t]][perm[h]] for t, h in arcs) for perm in permutations(range(n))}
-    )
+    members: dict[int, tuple[int, ...]] = {}
+    for perm in permutations(range(n)):
+        members.setdefault(sum(bit[perm[t]][perm[h]] for t, h in arcs), perm)
+    return sorted(members.items())
 
 
 def _class_hits(d: Digraph) -> list[InstanceRecord]:
@@ -420,9 +432,11 @@ def _class_hits(d: Digraph) -> list[InstanceRecord]:
     The members are the relabelings of ``d`` (``_members``), each recorded
     by its ``_tournament`` bit pattern.
     """
-    if not is_strong(d) or all(found for _, _, found in _pair_verdicts(d)):
+    if not is_strong(d) or all(
+        isinstance(found, TwoBlockCertificate) for found in _pair_results(d).values()
+    ):
         return []
-    records = [_evaluate_tournament(d.n, bits) for bits in _members(d)]
+    records = [_evaluate_tournament(d.n, bits) for bits, _ in _members(d)]
     if None in records:
         raise StructuralViolation(
             f"a relabeling of class {encode_arcs_hex(d)} got other verdicts"
@@ -521,7 +535,10 @@ class BwReport:
 
     The claim under audit: every tournament on ``n >= 4`` vertices contains
     ``c(k, ell)`` whenever ``k + ell = n``.  Violations are surfaced without
-    interpretation.
+    interpretation.  ``rows`` holds one row per labeled tournament (its
+    ``_tournament`` bit pattern, ascending) and ordered pair ``(k, ell)``,
+    ``k = 1, ..., n-1``; each row's verdict was checked on that tournament
+    (see ``audit_bw_claim``).
     """
 
     n: int
@@ -547,16 +564,59 @@ class BwReport:
 
 
 def audit_bw_claim(n: int) -> BwReport:
-    """Exhaustive truth table over all labeled tournaments and k + ell = n."""
+    """Exhaustive truth table over all labeled tournaments and k + ell = n.
+
+    Each isomorphism class (``tournament_classes``) is searched once per
+    unordered pair (``_pair_results``), and its verdicts are shared by all
+    its labeled members (``_members``).  Every member is checked on its own
+    tournament: each class certificate, relabeled by the member's
+    permutation, must pass ``certify`` on the member, and each class
+    negative is proved again by exhaustive search on the member.  Every
+    bit pattern must be reached exactly once.  A failure of any of these
+    checks raises :class:`StructuralViolation`.
+    """
     if n < 4:
         raise PreconditionViolated("the audited claim is scoped to n >= 4")
     if n > 6:
         raise CapExceeded("audit needs n <= 6")
-    rows: list[BwRow] = []
-    for bits in range(1 << (n * (n - 1) // 2)):
-        d = _tournament(n, bits)
-        rows.extend(BwRow(bits, k, ell, found) for k, ell, found in _pair_verdicts(d))
-    return BwReport(n, rows)
+    patterns = 1 << (n * (n - 1) // 2)
+    table: list[list[tuple[int, int, bool]] | None] = [None] * patterns
+    for d in tournament_classes(n):
+        results = _pair_results(d)
+        verdicts = _pair_verdicts(n, results)
+        for bits, perm in _members(d):
+            if table[bits] is not None:
+                raise StructuralViolation(f"tournament bits={bits} is in two classes")
+            member = _tournament(n, bits)
+            for (k, ell), found in results.items():
+                if isinstance(found, TwoBlockCertificate):
+                    certify(
+                        member,
+                        tuple(perm[x] for x in found.path_a),
+                        tuple(perm[x] for x in found.path_b),
+                        k,
+                        ell,
+                    )
+                elif isinstance(
+                    find_two_block_cycle(member, k, ell), TwoBlockCertificate
+                ):
+                    raise StructuralViolation(
+                        f"tournament bits={bits} contains c({k}, {ell}) "
+                        "but its class does not"
+                    )
+            # One list per class, not per member: the table of 2^(n(n-1)/2)
+            # members would otherwise hold as many lists.
+            table[bits] = verdicts
+    if None in table:
+        raise StructuralViolation(f"tournament bits={table.index(None)} is in no class")
+    return BwReport(
+        n,
+        [
+            BwRow(bits, k, ell, found)
+            for bits, verdicts in enumerate(table)
+            for k, ell, found in verdicts
+        ],
+    )
 
 
 def write_records(records: Iterable[InstanceRecord], path: str) -> int:

@@ -324,3 +324,25 @@ def canonical_form_brute(d: Digraph) -> int:
         if best is None or bits < best:
             best = bits
     return best if best is not None else 0
+
+
+def audit_bw_labeled(n: int) -> list[tuple[int, int, int, bool]]:
+    """The ``bw-audit`` truth table by a sweep over every labeled tournament:
+    ``(bits, k, ell, contains c(k, ell))`` for each bit pattern ascending
+    and k = 1, ..., n-1, ell = n - k.  Pattern bit ``idx`` orients the
+    ``idx``-th pair ``i < j`` (row-major) as ``i -> j`` when set, else
+    ``j -> i``; each unordered pair is decided once, by ``oracle_two_block``.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rows = []
+    for bits in range(1 << len(pairs)):
+        d = Digraph(
+            n,
+            frozenset(
+                (i, j) if (bits >> idx) & 1 else (j, i)
+                for idx, (i, j) in enumerate(pairs)
+            ),
+        )
+        found = {k: oracle_two_block(d, k, n - k) for k in range(1, n // 2 + 1)}
+        rows.extend((bits, k, n - k, found[min(k, n - k)]) for k in range(1, n))
+    return rows

@@ -98,7 +98,7 @@ def labeled_tournaments(n: int) -> list[Digraph]:
 
 def class_representatives(n: int) -> list[Digraph]:
     """The least bit pattern among the members of each tournament class."""
-    patterns = sorted(harness._members(d)[0] for d in tournament_classes(n))
+    patterns = sorted(harness._members(d)[0][0] for d in tournament_classes(n))
     return [harness._tournament(n, bits) for bits in patterns]
 
 

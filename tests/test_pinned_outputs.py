@@ -44,6 +44,12 @@ def test_audit_bw_claim_csv():
     )
 
 
+def test_audit_bw_claim_csv_n6():
+    assert _sha256(audit_bw_claim(6).to_csv().encode()) == (
+        "5c2e526d1d29e7379f838825ea3a4ccef34bedea54a806cd735d77220a34e939"
+    )
+
+
 # (n, k, ell, seed) from the criterion-5 schedule, with the encoded output
 # of random_strong_ckl_free and random_cycle_tree_free at cap=14.
 GENERATOR_PINS = [
