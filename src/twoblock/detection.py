@@ -65,7 +65,9 @@ found.  A certificate or cycle found above the cap is returned in both.
 
 A proof of absence made by ``prove_free``, the generators' final check, is
 kept on the digraph object it proved, and a later detection on that same
-object within its cap returns it instead of searching again.
+object within its cap returns it instead of searching again.  A
+certificate kept by ``keep_certificate`` (a class certificate relabeled
+onto a member tournament) is returned the same way.
 """
 
 from __future__ import annotations
@@ -96,8 +98,10 @@ DEFAULT_CYCLE_CAP = 20
 _HEURISTIC_TRIES = 400
 _HEURISTIC_BUDGET = 20000
 
-# The attribute on which ``prove_free`` keeps, on the digraph object it
-# proved, a dict from ``(max(k, ell), min(k, ell))`` to ``pairs_checked``.
+# The attribute on which ``prove_free`` and ``keep_certificate`` keep, on the
+# digraph object they answered for, a dict from ``(max(k, ell), min(k, ell))``
+# to the answer: the ``pairs_checked`` of a proof of absence, or a certificate
+# verified on that object.
 _PROOFS = "_two_block_proofs"
 
 
@@ -600,9 +604,13 @@ def find_two_block_cycle(
     On the very object that ``prove_free`` proved free of ``c(k, ell)`` or
     ``c(ell, k)`` (the generators' outputs), a call within the cap returns
     that proof's report, in either mode, without searching: the search
-    would run without a limit and give the same report.  Any other digraph
-    object is searched, equal arcs or not; above the cap the record is
-    ignored, so the work limit applies as on any other object.
+    would run without a limit and give the same report.  On the very
+    object that ``keep_certificate`` gave a certificate of the pair, a call
+    within the cap returns that certificate, in the asked order, without
+    searching; the search might have found another, but both are verified
+    on ``d``.  Any other digraph object is searched, equal arcs or not;
+    above the cap the record is ignored, so the work limit applies as on
+    any other object.
     """
     if k < 1 or ell < 1:
         raise PreconditionViolated("k and ell must be positive")
@@ -610,7 +618,12 @@ def find_two_block_cycle(
     kk, ll = max(k, ell), min(k, ell)
     proofs = getattr(d, _PROOFS, None)
     if proofs is not None and d.n <= cap and (kk, ll) in proofs:
-        return AbsenceReport(k, ell, "exhaustive", proofs[kk, ll])
+        kept = proofs[kk, ll]
+        if type(kept) is int:
+            return AbsenceReport(k, ell, "exhaustive", kept)
+        if kept.k_req == k:
+            return kept
+        return certify(d, kept.path_a, kept.path_b, k, ell)
     budget = None if d.n <= cap else [0]
     n = d.n
     full = (1 << n) - 1
@@ -672,12 +685,33 @@ def prove_free(
     """
     result = find_two_block_cycle(d, k, ell, cap=cap)
     if isinstance(result, AbsenceReport):
-        proofs = getattr(d, _PROOFS, None)
-        if proofs is None:
-            proofs = {}
-            object.__setattr__(d, _PROOFS, proofs)
-        proofs[max(k, ell), min(k, ell)] = result.pairs_checked
+        _keep(d, k, ell, result.pairs_checked)
     return result
+
+
+def keep_certificate(
+    d: Digraph, p: tuple[int, ...], q: tuple[int, ...], k: int, ell: int
+) -> TwoBlockCertificate:
+    """``certify(d, p, q, k, ell)``, kept on ``d`` as ``prove_free`` keeps a
+    proof of absence.
+
+    The certificate is verified on ``d`` before it is kept (a pair the
+    verifier rejects raises :class:`StructuralViolation` and keeps
+    nothing), and it answers later calls of ``find_two_block_cycle`` on the
+    object ``d`` for ``c(k, ell)`` or ``c(ell, k)`` within their cap.
+    """
+    cert = certify(d, p, q, k, ell)
+    _keep(d, k, ell, cert)
+    return cert
+
+
+def _keep(d: Digraph, k: int, ell: int, answer: int | TwoBlockCertificate) -> None:
+    """Keep ``answer`` on the object ``d`` under ``(max(k, ell), min(k, ell))``."""
+    proofs = getattr(d, _PROOFS, None)
+    if proofs is None:
+        proofs = {}
+        object.__setattr__(d, _PROOFS, proofs)
+    proofs[max(k, ell), min(k, ell)] = answer
 
 
 def find_two_block_cycle_through_arc(

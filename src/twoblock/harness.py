@@ -20,10 +20,10 @@ from .coloring import chromatic_number
 from .detection import (
     AbsenceReport,
     TwoBlockCertificate,
-    certify,
     find_two_block_cycle,
     find_two_block_cycle_through_arc,
     hamiltonian_cycle,
+    keep_certificate,
     longest_cycle,
     prove_free,
 )
@@ -568,18 +568,21 @@ def audit_bw_claim(n: int) -> BwReport:
 
     Each isomorphism class (``tournament_classes``) is searched once per
     unordered pair (``_pair_results``), and its verdicts are shared by all
-    its labeled members (``_members``).  Every member is checked on its own
-    tournament: each class certificate, relabeled by the member's
-    permutation, must pass ``certify`` on the member, and each class
-    negative is proved again by exhaustive search on the member.  Every
-    bit pattern must be reached exactly once.  A failure of any of these
-    checks raises :class:`StructuralViolation`.
+    its labeled members (``_members``).  Every member's verdicts are those
+    of ``find_two_block_cycle`` on its own tournament: the class tournament
+    is the member with the identity permutation, and on every other member
+    each class certificate, relabeled by the member's permutation, is
+    verified and kept on it (``keep_certificate``), so its search returns
+    that certificate, while each class negative is proved again by
+    exhaustive search.  Every bit pattern must be reached exactly once.  A
+    failure of any of these checks raises :class:`StructuralViolation`.
     """
     if n < 4:
         raise PreconditionViolated("the audited claim is scoped to n >= 4")
     if n > 6:
         raise CapExceeded("audit needs n <= 6")
     patterns = 1 << (n * (n - 1) // 2)
+    identity = tuple(range(n))
     table: list[list[tuple[int, int, bool]] | None] = [None] * patterns
     for d in tournament_classes(n):
         results = _pair_results(d)
@@ -587,23 +590,25 @@ def audit_bw_claim(n: int) -> BwReport:
         for bits, perm in _members(d):
             if table[bits] is not None:
                 raise StructuralViolation(f"tournament bits={bits} is in two classes")
-            member = _tournament(n, bits)
-            for (k, ell), found in results.items():
-                if isinstance(found, TwoBlockCertificate):
-                    certify(
-                        member,
-                        tuple(perm[x] for x in found.path_a),
-                        tuple(perm[x] for x in found.path_b),
-                        k,
-                        ell,
-                    )
-                elif isinstance(
-                    find_two_block_cycle(member, k, ell), TwoBlockCertificate
-                ):
-                    raise StructuralViolation(
-                        f"tournament bits={bits} contains c({k}, {ell}) "
-                        "but its class does not"
-                    )
+            if perm != identity:
+                member = _tournament(n, bits)
+                for (k, ell), found in results.items():
+                    if isinstance(found, TwoBlockCertificate):
+                        keep_certificate(
+                            member,
+                            tuple(perm[x] for x in found.path_a),
+                            tuple(perm[x] for x in found.path_b),
+                            k,
+                            ell,
+                        )
+                for (k, ell), found in _pair_results(member).items():
+                    if isinstance(found, TwoBlockCertificate) and not isinstance(
+                        results[k, ell], TwoBlockCertificate
+                    ):
+                        raise StructuralViolation(
+                            f"tournament bits={bits} contains c({k}, {ell}) "
+                            "but its class does not"
+                        )
             # One list per class, not per member: the table of 2^(n(n-1)/2)
             # members would otherwise hold as many lists.
             table[bits] = verdicts

@@ -17,10 +17,11 @@ from twoblock.detection import (
     TwoBlockCertificate,
     find_two_block_cycle,
     hamiltonian_cycle,
+    keep_certificate,
     prove_free,
 )
 from twoblock.digraph import Digraph, reverse
-from twoblock.errors import CapExceeded
+from twoblock.errors import CapExceeded, StructuralViolation
 from twoblock.hamiltonian import color_hamiltonian, ham_degeneracy_order
 from twoblock.harness import random_cycle_tree_free, random_strong_ckl_free
 from twoblock.io import read_edge_list
@@ -151,6 +152,41 @@ def test_prove_free_keeps_no_cut_short_answer(work_limit, pair_searches):
         prove_free(copy, 3, 2, cap=5)
     pair_searches.clear()
     assert find_two_block_cycle(copy, 3, 2).mode == "exhaustive"
+    assert pair_searches
+
+
+def _five_cycle_with_chord() -> Digraph:
+    # A 5-cycle with the chord 0->2 holds c(2, 1): 0->1->2 and 0->2.
+    return Digraph(5, frozenset({(i, (i + 1) % 5) for i in range(5)} | {(0, 2)}))
+
+
+def test_kept_certificate_answers_both_orders_without_search(pair_searches):
+    d = _five_cycle_with_chord()
+    kept = keep_certificate(d, (0, 2), (0, 1, 2), 2, 1)
+    assert (kept.path_a, kept.path_b) == ((0, 1, 2), (0, 2))
+    pair_searches.clear()
+    assert find_two_block_cycle(d, 2, 1) is kept
+    flipped = find_two_block_cycle(d, 1, 2, strict=False)
+    assert (flipped.k_req, flipped.ell_req) == (1, 2)
+    assert (flipped.path_a, flipped.path_b) == ((0, 2), (0, 1, 2))
+    assert pair_searches == []
+    # other pairs, other objects and calls above the cap search
+    for args, kwargs in (
+        ((d, 3, 1), {}),
+        ((fresh(d), 2, 1), {}),
+        ((d, 2, 1), {"cap": 4, "strict": False}),
+    ):
+        pair_searches.clear()
+        find_two_block_cycle(*args, **kwargs)
+        assert pair_searches
+
+
+def test_rejected_certificate_is_not_kept(pair_searches):
+    d = _five_cycle_with_chord()
+    with pytest.raises(StructuralViolation, match="failed verification"):
+        keep_certificate(d, (2, 1, 0), (0, 2), 2, 1)
+    pair_searches.clear()
+    assert isinstance(find_two_block_cycle(d, 2, 1), TwoBlockCertificate)
     assert pair_searches
 
 
