@@ -616,7 +616,7 @@ def find_two_block_cycle(
         raise PreconditionViolated("k and ell must be positive")
     cap = DEFAULT_DETECT_CAP if cap is None else cap
     kk, ll = max(k, ell), min(k, ell)
-    proofs = getattr(d, _PROOFS, None)
+    proofs = d.__dict__.get(_PROOFS)
     if proofs is not None and d.n <= cap and (kk, ll) in proofs:
         kept = proofs[kk, ll]
         if type(kept) is int:
@@ -707,7 +707,7 @@ def keep_certificate(
 
 def _keep(d: Digraph, k: int, ell: int, answer: int | TwoBlockCertificate) -> None:
     """Keep ``answer`` on the object ``d`` under ``(max(k, ell), min(k, ell))``."""
-    proofs = getattr(d, _PROOFS, None)
+    proofs = d.__dict__.get(_PROOFS)
     if proofs is None:
         proofs = {}
         object.__setattr__(d, _PROOFS, proofs)

@@ -27,7 +27,7 @@ from .detection import (
     longest_cycle,
     prove_free,
 )
-from .digraph import Digraph, is_strong, iter_bits, underlying_graph
+from .digraph import Digraph, is_strong, underlying_graph
 from .errors import CapExceeded, PreconditionViolated, StructuralViolation
 
 CLASS_CAP = 8
@@ -112,70 +112,92 @@ def canonical_form(d: Digraph) -> int:
     isomorphism II", 2014): the ordered partition of the vertices is refined
     by ``_refine``; the search then individualizes, in turn, each vertex of
     the first cell with more than one vertex and refines again, down to
-    discrete partitions (leaves).  Each leaf numbers the vertices in cell
-    order, and the form is the least bitmask over all leaves.  Refinement
-    and branching commute with relabeling, so the set of leaf bitmasks
-    depends only on the isomorphism class.  The null digraph gives 0.
+    discrete partitions (leaves).  Refinement stops as soon as the partition
+    is discrete, without a round to confirm it; most tournaments are
+    discrete after the first refinement, so they have one leaf and no
+    branching.  Each leaf numbers the vertices in cell order, and the form
+    is the least bitmask over all leaves.  Refinement and branching commute
+    with relabeling, so the set of leaf bitmasks depends only on the
+    isomorphism class.  The refinement keys are packed integers ordered as
+    tuples of counts (see ``_refine``), so the forms are those of tuple
+    keys, value for value.  The null digraph gives 0.
     """
     return _canonical_masks(d.n, d.out_mask, d.in_mask)
 
 
 def _canonical_masks(n: int, out: tuple[int, ...], inn: tuple[int, ...]) -> int:
     """``canonical_form`` of the digraph with out-masks ``out`` and
-    in-masks ``inn``."""
+    in-masks ``inn``.  Cells are vertex bitmasks, and a leaf's bitmask is
+    built one row at a time, from the last row to the first."""
     best: int | None = None
-    stack = [_refine(out, inn, [list(range(n))] if n else [])]
+    stack = [_refine(n, out, inn, [(1 << n) - 1] if n else [])]
     while stack:
         cells = stack.pop()
-        split = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if split is None:
+        if len(cells) == n:
             label = [0] * n
-            for pos, (v,) in enumerate(cells):
-                label[v] = pos
+            for pos, cell in enumerate(cells):
+                label[cell.bit_length() - 1] = pos
             bits = 0
-            for pos, (v,) in enumerate(cells):
-                for h in iter_bits(out[v]):
-                    bits |= 1 << (pos * n + label[h])
+            for cell in reversed(cells):
+                row = 0
+                heads = out[cell.bit_length() - 1]
+                while heads:
+                    low = heads & -heads
+                    row |= 1 << label[low.bit_length() - 1]
+                    heads ^= low
+                bits = bits << n | row
             if best is None or bits < best:
                 best = bits
             continue
-        cell = cells[split]
-        for v in cell:
-            rest = [w for w in cell if w != v]
-            stack.append(
-                _refine(out, inn, cells[:split] + [[v], rest] + cells[split + 1 :])
-            )
+        split = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
+        cell = rest = cells[split]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            branch = cells[:split] + [low, cell ^ low] + cells[split + 1 :]
+            stack.append(_refine(n, out, inn, branch))
     return best if best is not None else 0
 
 
 def _refine(
-    out: tuple[int, ...], inn: tuple[int, ...], cells: list[list[int]]
-) -> list[list[int]]:
-    """Split every cell by each vertex's (out-count, in-count) into every
-    cell, until no cell splits (the partition is equitable).
+    n: int, out: tuple[int, ...], inn: tuple[int, ...], cells: list[int]
+) -> list[int]:
+    """Split every cell (a vertex bitmask) by each vertex's (out-count,
+    in-count) into every cell, until no cell splits (the partition is
+    equitable) or every cell holds one vertex.
 
+    A vertex's key is one integer: for each cell in order, the out-count
+    and then the in-count are shifted in, each in a field of
+    ``n.bit_length()`` bits.  No count exceeds ``n - 1``, so no field spills
+    into the next, and all keys of a round have the same number of fields;
+    integer order is therefore the lexicographic order of the count tuples.
     The parts of a split cell replace it in increasing order of their key,
     which depends only on the ordered partition, never on vertex numbers.
     """
-    while True:
-        masks = [sum(1 << v for v in c) for c in cells]
-        refined: list[list[int]] = []
-        for c in cells:
-            if len(c) == 1:
-                refined.append(c)
+    width = n.bit_length()
+    while len(cells) < n:
+        refined: list[int] = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                refined.append(cell)
                 continue
-            parts: dict[tuple[int, ...], list[int]] = {}
-            for v in c:
-                key = tuple(
-                    count
-                    for m in masks
-                    for count in ((out[v] & m).bit_count(), (inn[v] & m).bit_count())
-                )
-                parts.setdefault(key, []).append(v)
+            parts: dict[int, int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                o, i = out[v], inn[v]
+                key = 0
+                for m in cells:
+                    key = (key << width | (o & m).bit_count()) << width
+                    key |= (i & m).bit_count()
+                parts[key] = parts.get(key, 0) | low
             refined.extend(parts[key] for key in sorted(parts))
         if len(refined) == len(cells):
-            return refined
+            break
         cells = refined
+    return cells
 
 
 def tournament_classes(n: int) -> list[Digraph]:

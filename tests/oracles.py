@@ -12,7 +12,7 @@ import random
 from itertools import combinations, permutations
 
 from twoblock.detection import TwoBlockCertificate
-from twoblock.digraph import DiCycle, Digraph, UGraph, induced
+from twoblock.digraph import DiCycle, Digraph, UGraph, induced, iter_bits
 from twoblock.hamiltonian import ham_degeneracy_order
 from twoblock.pipeline import CycleTree
 
@@ -324,6 +324,73 @@ def canonical_form_brute(d: Digraph) -> int:
         if best is None or bits < best:
             best = bits
     return best if best is not None else 0
+
+
+def canonical_form_reference(d: Digraph) -> int:
+    """``harness.canonical_form`` as it was before its refinement keys were
+    packed into integers: the same individualization-refinement search, with
+    tuple keys, vertex-list cells, a confirming round after a discrete
+    partition and one bit per arc for a leaf.  Its values, not only its
+    classes, are those of the library's form."""
+    return _reference_masks(d.n, d.out_mask, d.in_mask)
+
+
+def _reference_masks(n: int, out: tuple[int, ...], inn: tuple[int, ...]) -> int:
+    best: int | None = None
+    stack = [_reference_refine(out, inn, [list(range(n))] if n else [])]
+    while stack:
+        cells = stack.pop()
+        split = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if split is None:
+            label = [0] * n
+            for pos, (v,) in enumerate(cells):
+                label[v] = pos
+            bits = 0
+            for pos, (v,) in enumerate(cells):
+                for h in iter_bits(out[v]):
+                    bits |= 1 << (pos * n + label[h])
+            if best is None or bits < best:
+                best = bits
+            continue
+        cell = cells[split]
+        for v in cell:
+            rest = [w for w in cell if w != v]
+            stack.append(
+                _reference_refine(
+                    out, inn, cells[:split] + [[v], rest] + cells[split + 1 :]
+                )
+            )
+    return best if best is not None else 0
+
+
+def _reference_refine(
+    out: tuple[int, ...], inn: tuple[int, ...], cells: list[list[int]]
+) -> list[list[int]]:
+    """Split every cell by each vertex's (out-count, in-count) into every
+    cell, until no cell splits (the partition is equitable).
+
+    The parts of a split cell replace it in increasing order of their key,
+    which depends only on the ordered partition, never on vertex numbers.
+    """
+    while True:
+        masks = [sum(1 << v for v in c) for c in cells]
+        refined: list[list[int]] = []
+        for c in cells:
+            if len(c) == 1:
+                refined.append(c)
+                continue
+            parts: dict[tuple[int, ...], list[int]] = {}
+            for v in c:
+                key = tuple(
+                    count
+                    for m in masks
+                    for count in ((out[v] & m).bit_count(), (inn[v] & m).bit_count())
+                )
+                parts.setdefault(key, []).append(v)
+            refined.extend(parts[key] for key in sorted(parts))
+        if len(refined) == len(cells):
+            return refined
+        cells = refined
 
 
 def audit_bw_labeled(n: int) -> list[tuple[int, int, int, bool]]:

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import random
+from math import factorial, prod
 
 import pytest
+from hypothesis import assume, given, settings
 
 from twoblock import harness
 from twoblock.coloring import chromatic_number
@@ -26,7 +28,13 @@ from twoblock.harness import (
     write_records,
 )
 
-from oracles import canonical_form_brute, random_digraph
+from conftest import digraphs
+from oracles import (
+    _reference_refine,
+    canonical_form_brute,
+    canonical_form_reference,
+    random_digraph,
+)
 
 
 def record_from_json_line(line: str) -> InstanceRecord:
@@ -145,14 +153,18 @@ class TestEnumerateTournaments:
         assert len({canonical_form(d) for d in reps}) == 56
 
 
+def all_digraphs(n: int) -> list[Digraph]:
+    """All labeled digraphs on ``n`` vertices."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return [
+        Digraph(n, frozenset(arc for i, arc in enumerate(pairs) if (bits >> i) & 1))
+        for bits in range(1 << len(pairs))
+    ]
+
+
 class TestCanonicalForm:
     def test_all_4_vertex_digraphs_match_brute_force(self):
-        pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
-        digraphs = [
-            Digraph(4, frozenset(arc for i, arc in enumerate(pairs) if (bits >> i) & 1))
-            for bits in range(1 << len(pairs))
-        ]
-        assert same_partition(digraphs, canonical_form, canonical_form_brute)
+        assert same_partition(all_digraphs(4), canonical_form, canonical_form_brute)
 
     def test_null_digraph(self):
         assert canonical_form(Digraph(0, frozenset())) == 0
@@ -172,6 +184,55 @@ class TestCanonicalForm:
             tournament_classes(9)
         with pytest.raises(PreconditionViolated):
             tournament_classes(0)
+
+
+class TestCanonicalFormValues:
+    """``canonical_form`` gives the very integer of the tuple-keyed reference
+    search, not only the same classes: class labels, ``search`` and
+    ``bw-audit`` rows are built from these values."""
+
+    def test_all_4_vertex_digraphs(self):
+        for d in all_digraphs(4):
+            assert canonical_form(d) == canonical_form_reference(d), d
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_every_labeled_tournament(self, n):
+        for d in labeled_tournaments(n):
+            assert canonical_form(d) == canonical_form_reference(d), d
+
+    def test_class_representatives_n6(self):
+        reps = class_representatives(6)
+        assert len(reps) == 56
+        for d in reps:
+            assert canonical_form(d) == canonical_form_reference(d), d
+
+    def test_random_9_tournaments(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            d = harness._tournament(9, rng.getrandbits(36))
+            assert canonical_form(d) == canonical_form_reference(d), d
+
+    @settings(max_examples=150, deadline=None)
+    @given(digraphs(min_n=0, max_n=10))
+    def test_random_digraphs(self, d):
+        # Without automorphism pruning the search visits up to the product
+        # of (cell size)! leaves of the root partition; keep that small.
+        root = _reference_refine(d.out_mask, d.in_mask, [list(range(d.n))])
+        assume(prod(factorial(len(c)) for c in root) <= 720)
+        assert canonical_form(d) == canonical_form_reference(d)
+
+    def test_counts_wider_than_five_bits(self):
+        # A transitive 40-tournament with three arcs reversed: out-counts up
+        # to 39 need six bits per key field, and the ties the reversals make
+        # are split by refinement alone, so the reference needs no branching.
+        n = 40
+        arcs = {(i, j) for i in range(n) for j in range(i + 1, n)}
+        for i, j in [(0, 39), (2, 20), (17, 37)]:
+            arcs.symmetric_difference_update({(i, j), (j, i)})
+        d = Digraph(n, frozenset(arcs))
+        root = _reference_refine(d.out_mask, d.in_mask, [list(range(n))])
+        assert len(root) == n
+        assert canonical_form(d) == canonical_form_reference(d)
 
 
 class TestRandomGenerators:

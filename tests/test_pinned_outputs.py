@@ -20,6 +20,7 @@ from twoblock.harness import (
     random_cycle_tree_free,
     random_strong_ckl_free,
     search_problem1,
+    tournament_classes,
     write_records,
 )
 
@@ -47,6 +48,15 @@ def test_audit_bw_claim_csv():
 def test_audit_bw_claim_csv_n6():
     assert _sha256(audit_bw_claim(6).to_csv().encode()) == (
         "5c2e526d1d29e7379f838825ea3a4ccef34bedea54a806cd735d77220a34e939"
+    )
+
+
+def test_tournament_classes_n7():
+    # The class labels are canonical forms, so this pins the form's values
+    # on the 456 classes, not only the partition into classes.
+    hexes = "\n".join(encode_arcs_hex(d) for d in tournament_classes(7))
+    assert _sha256(hexes.encode()) == (
+        "ed067c58c1b2a79729846fc734c8e25271138e20bb07f58de79b592ba97e11aa"
     )
 
 
