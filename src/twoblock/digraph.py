@@ -4,8 +4,9 @@ Vertices are dense integers ``0 .. n-1``.  A digraph is simple: no loops, no
 duplicate arcs, but a pair of opposite arcs (a digon) is allowed.  All values
 here are immutable after construction and safe to share across workers.
 
-Adjacency is kept as one arbitrary-precision bitmask per vertex, which gives
-the same fast set algebra for any ``n``.
+A digraph is stored as its adjacency masks, arbitrary-precision bitmasks of
+each vertex's out- and in-neighbours, which give the same fast set algebra for
+any ``n``; its arc set is derived from them only when it is first read.
 """
 
 from __future__ import annotations
@@ -57,64 +58,72 @@ def reach_mask(
     return seen
 
 
-@dataclass(frozen=True)
 class Digraph:
-    """A simple directed graph on vertices ``0 .. n-1``."""
+    """A simple directed graph on vertices ``0 .. n-1``, stored as its adjacency
+    masks: the arc ``t -> h`` is bit ``h`` of ``out_mask[t]`` and bit ``t`` of
+    ``in_mask[h]``.  ``arcs`` is the given arc set, or else derived on first
+    read and kept.  Equality and hash are by value; assignment raises."""
 
-    n: int
-    arcs: frozenset[tuple[int, int]]
+    def __init__(self, n: int, arcs: frozenset[tuple[int, int]]) -> None:
+        out, inn = [0] * n, [0] * n
+        for tail, head in arcs:
+            out[tail] |= 1 << head
+            inn[head] |= 1 << tail
+        self.__dict__.update(n=n, arcs=arcs, out_mask=tuple(out), in_mask=tuple(inn))
+
+    @classmethod
+    def from_masks(
+        cls, n: int, out_mask: tuple[int, ...], in_mask: tuple[int, ...]
+    ) -> Digraph:
+        """The digraph with these adjacency masks, whose arc set is built
+        only when it is read.  The caller vouches that ``in_mask`` is the
+        transpose of ``out_mask`` and that no mask has bit ``v`` at ``v``."""
+        d = cls.__new__(cls)
+        d.__dict__.update(n=n, out_mask=out_mask, in_mask=in_mask)
+        return d
 
     @cached_property
-    def out_mask(self) -> tuple[int, ...]:
-        masks = [0] * self.n
-        for tail, head in self.arcs:
-            masks[tail] |= 1 << head
-        return tuple(masks)
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        return frozenset(
+            (t, h) for t, mask in enumerate(self.out_mask) for h in iter_bits(mask)
+        )
 
-    @cached_property
-    def in_mask(self) -> tuple[int, ...]:
-        masks = [0] * self.n
-        for tail, head in self.arcs:
-            masks[head] |= 1 << tail
-        return tuple(masks)
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Digraph):
+            return NotImplemented
+        return (self.n, self.out_mask) == (other.n, other.out_mask)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.out_mask))
+
+    def __repr__(self) -> str:
+        return f"Digraph(n={self.n}, arcs={self.arcs!r})"
 
     def has_arc(self, tail: int, head: int) -> bool:
         return bool((self.out_mask[tail] >> head) & 1)
 
-    @classmethod
-    def from_masks(
-        cls,
-        n: int,
-        arcs: frozenset[tuple[int, int]],
-        out_mask: tuple[int, ...],
-        in_mask: tuple[int, ...],
-    ) -> Digraph:
-        """The digraph on ``arcs`` with the adjacency masks of those arcs
-        given, stored where ``cached_property`` would put them instead of
-        being rebuilt from the arc set.  The caller vouches that the masks
-        are those of ``arcs``."""
-        d = cls(n, arcs)
-        object.__setattr__(d, "out_mask", out_mask)
-        object.__setattr__(d, "in_mask", in_mask)
-        return d
-
     def with_arc(self, tail: int, head: int) -> Digraph:
         """This digraph plus the arc tail->head, which must be a new arc.
 
-        Its adjacency masks are this digraph's with one bit set each.
+        Its adjacency masks are this digraph's with one bit set each, and
+        its arc set is built only when it is read.
         """
-        arcs = set(self.arcs)
-        add_arc(arcs, self.n, tail, head)
+        _check_arc(self.n, tail, head)
+        if self.has_arc(tail, head):
+            raise DuplicateArc(f"duplicate arc ({tail},{head})")
         out_mask, in_mask = list(self.out_mask), list(self.in_mask)
         out_mask[tail] |= 1 << head
         in_mask[head] |= 1 << tail
-        return Digraph.from_masks(
-            self.n, frozenset(arcs), tuple(out_mask), tuple(in_mask)
-        )
+        return Digraph.from_masks(self.n, tuple(out_mask), tuple(in_mask))
 
     @property
     def arc_count(self) -> int:
-        return len(self.arcs)
+        return sum(mask.bit_count() for mask in self.out_mask)
 
     def underlying_degree(self, v: int) -> int:
         return (self.out_mask[v] | self.in_mask[v]).bit_count()
@@ -204,13 +213,18 @@ def add_arc(
 ) -> None:
     """Add one arc to ``arcs`` after checking it is no loop, lies inside
     ``[0, vertex_count)`` and is not in ``arcs`` already."""
+    _check_arc(vertex_count, tail, head)
+    if (tail, head) in arcs:
+        raise DuplicateArc(f"duplicate arc ({tail},{head})")
+    arcs.add((tail, head))
+
+
+def _check_arc(vertex_count: int, tail: int, head: int) -> None:
+    """Raise unless tail->head is no loop and lies inside ``[0, vertex_count)``."""
     if tail == head:
         raise LoopArc(f"loop arc ({tail},{head})")
     if not (0 <= tail < vertex_count and 0 <= head < vertex_count):
         raise VertexOutOfRange(f"arc ({tail},{head}) outside [0,{vertex_count})")
-    if (tail, head) in arcs:
-        raise DuplicateArc(f"duplicate arc ({tail},{head})")
-    arcs.add((tail, head))
 
 
 def build_digraph(vertex_count: int, arc_list: Iterable[tuple[int, int]]) -> Digraph:
@@ -290,8 +304,8 @@ def induced(d: Digraph, s: Iterable[int]) -> tuple[Digraph, tuple[int, ...]]:
 
 
 def reverse(d: Digraph) -> Digraph:
-    """The digraph with every arc turned around."""
-    return Digraph(d.n, frozenset((head, tail) for tail, head in d.arcs))
+    """The digraph with every arc turned around: its two masks swapped."""
+    return Digraph.from_masks(d.n, d.in_mask, d.out_mask)
 
 
 def cycle_segment(c: DiCycle, u: int, v: int) -> tuple[int, ...]:

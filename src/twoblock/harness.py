@@ -8,8 +8,6 @@ instance id so output files are byte-stable regardless of worker count.
 
 from __future__ import annotations
 
-import concurrent.futures
-import json
 from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterable
@@ -28,7 +26,9 @@ from .detection import (
     prove_free,
 )
 from .digraph import Digraph, is_strong, underlying_graph
-from .errors import CapExceeded, PreconditionViolated, StructuralViolation
+from .errors import (
+    CapExceeded, LoopArc, PreconditionViolated, StructuralViolation, VertexOutOfRange
+)
 
 CLASS_CAP = 8
 
@@ -37,26 +37,30 @@ Detection = TwoBlockCertificate | AbsenceReport
 
 def encode_arcs_hex(d: Digraph) -> str:
     """Hex bitmask of the n x n adjacency matrix, row-major, diagonal zero."""
-    bits = 0
-    for t, h in d.arcs:
-        bits |= 1 << (t * d.n + h)
+    bits = sum(row << (t * d.n) for t, row in enumerate(d.out_mask))
     width = max((d.n * d.n + 3) // 4, 1)
     return format(bits, f"0{width}x")
 
 
 def decode_arcs_hex(n: int, encoded: str) -> Digraph:
-    return _from_bits(n, int(encoded, 16))
+    """The digraph of ``encode_arcs_hex``.  A diagonal bit raises ``LoopArc`` and
+    a bit at or beyond ``n * n`` ``VertexOutOfRange``, as in ``build_digraph``."""
+    bits = int(encoded, 16)
+    if bits >> (n * n):
+        raise VertexOutOfRange(f"{encoded!r} has a bit beyond {n} x {n}")
+    for v in range(n):
+        if (bits >> (v * n + v)) & 1:
+            raise LoopArc(f"loop arc ({v},{v})")
+    return _from_bits(n, bits)
 
 
 def _from_bits(n: int, bits: int) -> Digraph:
-    """The digraph whose arc ``i -> j`` is bit ``i * n + j`` of ``bits``."""
-    arcs = frozenset(
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j and (bits >> (i * n + j)) & 1
-    )
-    return Digraph(n, arcs)
+    """The digraph whose arc ``i -> j`` is bit ``i * n + j`` of ``bits``,
+    which must have no diagonal bit: row ``i`` is the out-mask of ``i``."""
+    row = (1 << n) - 1
+    out = tuple((bits >> (i * n)) & row for i in range(n))
+    inn = tuple(sum(((out[t] >> h) & 1) << t for t in range(n)) for h in range(n))
+    return Digraph.from_masks(n, out, inn)
 
 
 @dataclass
@@ -74,6 +78,7 @@ class InstanceRecord:
         return decode_arcs_hex(self.vertex_count, self.arcs_hex)
 
     def to_json_line(self) -> str:
+        import json
         return json.dumps(
             {
                 "instance_id": self.instance_id,
@@ -89,19 +94,17 @@ class InstanceRecord:
 
 def _tournament(n: int, bits: int) -> Digraph:
     """The tournament whose ``idx``-th pair ``i < j`` (row-major) is oriented
-    ``i -> j`` when bit ``idx`` of ``bits`` is set, else ``j -> i``.  Its
-    adjacency masks are built in the same loop as its arcs."""
-    arcs = []
+    ``i -> j`` when bit ``idx`` of ``bits`` is set, else ``j -> i``.  It is
+    built from its adjacency masks alone."""
     out_mask = [0] * n
     in_mask = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
             t, h = (i, j) if bits & 1 else (j, i)
             bits >>= 1
-            arcs.append((t, h))
             out_mask[t] |= 1 << h
             in_mask[h] |= 1 << t
-    return Digraph.from_masks(n, frozenset(arcs), tuple(out_mask), tuple(in_mask))
+    return Digraph.from_masks(n, tuple(out_mask), tuple(in_mask))
 
 
 def canonical_form(d: Digraph) -> int:
@@ -486,6 +489,7 @@ def search_problem1(n: int, *, workers: int = 1) -> list[InstanceRecord]:
         raise CapExceeded(f"search needs 4 <= n <= {CLASS_CAP}")
     classes = tournament_classes(n)
     if workers > 1:
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_class_hits, classes, chunksize=64))
     else:
@@ -525,6 +529,7 @@ def audit_bondy(instances: Iterable[Digraph], *, workers: int = 1) -> BondyRepor
         if not is_strong(d):
             raise PreconditionViolated("bondy audit expects strong digraphs")
     if workers > 1:
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             measured = list(pool.map(_bondy_eval, digraphs, chunksize=8))
     else:
@@ -543,7 +548,7 @@ def audit_bondy(instances: Iterable[Digraph], *, workers: int = 1) -> BondyRepor
     return BondyReport(len(digraphs), violations)
 
 
-@dataclass
+@dataclass(slots=True)
 class BwRow:
     tournament_bits: int
     k: int
@@ -609,20 +614,20 @@ def audit_bw_claim(n: int) -> BwReport:
     for d in tournament_classes(n):
         results = _pair_results(d)
         verdicts = _pair_verdicts(n, results)
+        certs = [
+            (k, ell, found.path_a, found.path_b)
+            for (k, ell), found in results.items()
+            if isinstance(found, TwoBlockCertificate)
+        ]
         for bits, perm in _members(d):
             if table[bits] is not None:
                 raise StructuralViolation(f"tournament bits={bits} is in two classes")
             if perm != identity:
                 member = _tournament(n, bits)
-                for (k, ell), found in results.items():
-                    if isinstance(found, TwoBlockCertificate):
-                        keep_certificate(
-                            member,
-                            tuple(perm[x] for x in found.path_a),
-                            tuple(perm[x] for x in found.path_b),
-                            k,
-                            ell,
-                        )
+                relabel = perm.__getitem__
+                for k, ell, p, q in certs:
+                    p, q = tuple(map(relabel, p)), tuple(map(relabel, q))
+                    keep_certificate(member, p, q, k, ell)
                 for (k, ell), found in _pair_results(member).items():
                     if isinstance(found, TwoBlockCertificate) and not isinstance(
                         results[k, ell], TwoBlockCertificate

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from typing import IO, TYPE_CHECKING
 
 from .coloring import Coloring
@@ -111,4 +110,5 @@ def trace_to_dict(trace: ContractionTrace) -> dict:
 
 
 def to_json(payload: dict) -> str:
+    import json
     return json.dumps(payload, sort_keys=True, indent=2)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from twoblock.digraph import (
     cycle_segment,
     induced,
     is_strong,
+    reverse,
     underlying_graph,
 )
 from twoblock.errors import (
@@ -262,3 +265,49 @@ def test_cycle_segment_length_identity(n, data):
         return
     # each segment has one arc fewer than vertices
     assert len(cycle_segment(c, u, v)) + len(cycle_segment(c, v, u)) == n + 2
+
+
+class TestMaskStorage:
+    """A digraph is stored as its masks; ``arcs`` is derived on first read."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(digraphs(min_n=0, max_n=10))
+    def test_from_masks_equals_the_arc_built_digraph(self, d):
+        m = Digraph.from_masks(d.n, d.out_mask, d.in_mask)
+        assert m == d and hash(m) == hash(d)
+        assert m.arcs == d.arcs and m.arc_count == d.arc_count == len(d.arcs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(digraphs(min_n=0, max_n=10))
+    def test_pickle_round_trip(self, d):
+        for x in (d, Digraph.from_masks(d.n, d.out_mask, d.in_mask)):
+            back = pickle.loads(pickle.dumps(x))
+            assert back == d and back.arcs == d.arcs
+
+    @settings(max_examples=100, deadline=None)
+    @given(digraphs(min_n=0, max_n=10))
+    def test_reverse_turns_every_arc(self, d):
+        r = reverse(d)
+        assert r.arcs == {(h, t) for t, h in d.arcs}
+        assert reverse(r) == d
+
+    def test_assignment_raises(self):
+        d = directed_cycle(3)
+        with pytest.raises(AttributeError):
+            d.n = 4
+        with pytest.raises(AttributeError):
+            del d.out_mask
+        assert d.n == 3
+
+    def test_equality_ignores_how_the_digraph_was_built(self):
+        d = directed_cycle(4)
+        assert d != reverse(d) and d != directed_cycle(5) and d != "C4"
+        assert len({d, Digraph.from_masks(4, d.out_mask, d.in_mask)}) == 1
+
+    def test_with_arc_and_reverse_build_no_arc_set(self):
+        grown = directed_cycle(4).with_arc(0, 2)
+        turned = reverse(grown)
+        for d in (grown, turned):
+            assert "arcs" not in vars(d)
+        assert turned.arcs == {(1, 0), (2, 1), (3, 2), (0, 3), (2, 0)}
+        assert "arcs" in vars(turned) and "arcs" not in vars(grown)

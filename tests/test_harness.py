@@ -11,7 +11,13 @@ from twoblock import harness
 from twoblock.coloring import chromatic_number
 from twoblock.detection import AbsenceReport, find_two_block_cycle, hamiltonian_cycle
 from twoblock.digraph import Digraph, build_digraph, is_strong, underlying_graph
-from twoblock.errors import CapExceeded, PreconditionViolated, StructuralViolation
+from twoblock.errors import (
+    CapExceeded,
+    LoopArc,
+    PreconditionViolated,
+    StructuralViolation,
+    VertexOutOfRange,
+)
 from twoblock.harness import (
     InstanceRecord,
     audit_bondy,
@@ -98,6 +104,37 @@ class TestEncoding:
         assert back == rec
         assert back.digraph() == fig1
 
+    def test_round_trip_every_digraph_on_4_vertices(self):
+        off_diagonal = [t * 4 + h for t in range(4) for h in range(4) if t != h]
+        seen = set()
+        for pattern in range(1 << 12):
+            bits = sum(1 << p for i, p in enumerate(off_diagonal) if pattern >> i & 1)
+            d = decode_arcs_hex(4, format(bits, "x"))
+            assert d.arc_count == pattern.bit_count()
+            assert int(encode_arcs_hex(d), 16) == bits
+            assert harness._from_bits(4, bits) == d
+            seen.add(d)
+        assert len(seen) == 4096
+
+    @settings(max_examples=200, deadline=None)
+    @given(digraphs(min_n=0, max_n=10))
+    def test_from_bits_inverts_the_encoding(self, d):
+        assert harness._from_bits(d.n, int(encode_arcs_hex(d), 16)) == d
+
+    def test_loop_bit_raises(self):
+        with pytest.raises(LoopArc):
+            decode_arcs_hex(3, "1")
+        with pytest.raises(LoopArc):
+            decode_arcs_hex(3, "100")
+
+    def test_bit_beyond_the_matrix_raises(self):
+        with pytest.raises(VertexOutOfRange):
+            decode_arcs_hex(2, "fff")
+        with pytest.raises(VertexOutOfRange):
+            decode_arcs_hex(2, "10")
+        with pytest.raises(VertexOutOfRange):
+            decode_arcs_hex(0, "1")
+
 
 def labeled_tournaments(n: int) -> list[Digraph]:
     """All labeled n-tournaments, in bitmask order."""
@@ -111,6 +148,23 @@ def class_representatives(n: int) -> list[Digraph]:
 
 
 class TestEnumerateTournaments:
+    def test_tournament_equals_the_arc_built_one(self):
+        for n in range(1, 6):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            for bits in range(1 << len(pairs)):
+                arcs = frozenset(
+                    (i, j) if bits >> idx & 1 else (j, i)
+                    for idx, (i, j) in enumerate(pairs)
+                )
+                d = harness._tournament(n, bits)
+                assert d == Digraph(n, arcs) and d.arcs == arcs
+
+    def test_no_arc_set_is_built_until_read(self):
+        built = [harness._tournament(6, 12345), *tournament_classes(6)]
+        assert all("arcs" not in vars(d) for d in built)
+        assert built[0].arc_count == 15 and "arcs" not in vars(built[0])
+        assert len(built[0].arcs) == 15 and "arcs" in vars(built[0])
+
     def test_counts_n3(self):
         all_t = labeled_tournaments(3)
         assert len(set(all_t)) == 8

@@ -1,4 +1,5 @@
-"""No library module imports a name it never uses.
+"""No library module imports a name it never uses, and importing the
+package loads no module that only a rarely used function needs.
 
 ``__init__.py`` is skipped: its imports are the package's exports.
 """
@@ -6,6 +7,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import twoblock
@@ -45,3 +49,19 @@ def test_library_has_no_unused_imports():
         and (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert not found, f"imported but never used: {found}"
+
+
+def test_import_loads_no_json_or_process_pool():
+    # ``json`` and ``concurrent.futures`` (with the ``logging``, ``traceback``,
+    # ``string`` and ``textwrap`` it loads) are imported inside the functions
+    # that write JSON or start a worker pool.
+    lazy = ["json", "concurrent.futures", "logging", "traceback", "string", "textwrap"]
+    code = (
+        "import sys, twoblock, twoblock.harness, twoblock.io\n"
+        f"print(sorted(m for m in {lazy!r} if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
