@@ -132,9 +132,13 @@ def ham_degeneracy_order(
         shortcut = (cycle[i - 1], cycle[(i + 1) % len(cycle)])
         new = None if level.has_arc(*shortcut) else shortcut
         rounds.append((level, w, new))
-        arcs = {a for a in level.arcs if w not in a}
-        arcs.add(shortcut)
-        level = Digraph(d.n, frozenset(arcs))
+        keep = ~(1 << w)
+        out = [mask & keep for mask in level.out_mask]
+        inn = [mask & keep for mask in level.in_mask]
+        out[w] = inn[w] = 0
+        out[shortcut[0]] |= 1 << shortcut[1]
+        inn[shortcut[1]] |= 1 << shortcut[0]
+        level = Digraph.from_masks(d.n, tuple(out), tuple(inn))
         order.append(w)
         cycle.pop(i)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import random
 
@@ -556,37 +556,64 @@ class BwRow:
     contains: bool
 
 
+class BwRows:
+    """The rows of a ``BwReport``, read from its table one at a time."""
+
+    __slots__ = ("n", "table")
+
+    def __init__(self, n: int, table: list[list[tuple[int, int, bool]]]) -> None:
+        self.n, self.table = n, table
+
+    def __len__(self) -> int:
+        return len(self.table) * (self.n - 1)
+
+    def __getitem__(self, index: int) -> BwRow:
+        bits, j = divmod(range(len(self))[index], self.n - 1)
+        return BwRow(bits, *self.table[bits][j])
+
+    def __iter__(self) -> Iterator[BwRow]:
+        for bits, verdicts in enumerate(self.table):
+            for verdict in verdicts:
+                yield BwRow(bits, *verdict)
+
+
 @dataclass
 class BwReport:
     """Per-tournament, per-pair truth table for the all-pairs containment claim.
 
     The claim under audit: every tournament on ``n >= 4`` vertices contains
     ``c(k, ell)`` whenever ``k + ell = n``.  Violations are surfaced without
-    interpretation.  ``rows`` holds one row per labeled tournament (its
-    ``_tournament`` bit pattern, ascending) and ordered pair ``(k, ell)``,
-    ``k = 1, ..., n-1``; each row's verdict was checked on that tournament
-    (see ``audit_bw_claim``).
+    interpretation.  ``table[bits]`` lists ``(k, ell, contains)``, ``k = 1,
+    ..., n-1``, for the labeled tournament with ``_tournament`` pattern
+    ``bits`` (see ``audit_bw_claim``); a class's members share one list, and
+    ``rows`` reads one ``BwRow`` per entry from it, patterns ascending.
     """
 
     n: int
-    rows: list[BwRow]
+    table: list[list[tuple[int, int, bool]]]
+
+    @property
+    def rows(self) -> BwRows:
+        return BwRows(self.n, self.table)
 
     def violations(self) -> list[BwRow]:
-        return [r for r in self.rows if not r.contains]
+        rows = ((bits, v) for bits, verdicts in enumerate(self.table) for v in verdicts)
+        return [BwRow(bits, *v) for bits, v in rows if not v[2]]
 
     def to_csv(self) -> str:
-        lines = ["tournament_bits,k,ell,contains"]
-        for r in self.rows:
-            lines.append(
-                f"{r.tournament_bits},{r.k},{r.ell},{int(r.contains)}"
-            )
-        return "\n".join(lines) + "\n"
+        # The line tails ",k,ell,0|1\n" are formatted once per shared list.
+        lists = {id(verdicts): verdicts for verdicts in self.table}.items()
+        tails = {i: [f",{k},{ell},{int(c)}\n" for k, ell, c in v] for i, v in lists}
+        parts = ["tournament_bits,k,ell,contains\n"]
+        for bits, verdicts in enumerate(self.table):
+            prefix = str(bits)
+            parts.append(prefix + prefix.join(tails[id(verdicts)]))
+        return "".join(parts)
 
     def summary(self) -> str:
-        v = self.violations()
         return (
             f"two-block containment audit at n={self.n}: {len(self.rows)} rows, "
-            f"{len(v)} violating (tournament, pair) rows"
+            f"{len(self.violations())} violating (tournament, pair) rows"
         )
 
 
@@ -603,6 +630,7 @@ def audit_bw_claim(n: int) -> BwReport:
     that certificate, while each class negative is proved again by
     exhaustive search.  Every bit pattern must be reached exactly once.  A
     failure of any of these checks raises :class:`StructuralViolation`.
+    The report holds the table as built, one verdict list per class.
     """
     if n < 4:
         raise PreconditionViolated("the audited claim is scoped to n >= 4")
@@ -641,14 +669,7 @@ def audit_bw_claim(n: int) -> BwReport:
             table[bits] = verdicts
     if None in table:
         raise StructuralViolation(f"tournament bits={table.index(None)} is in no class")
-    return BwReport(
-        n,
-        [
-            BwRow(bits, k, ell, found)
-            for bits, verdicts in enumerate(table)
-            for k, ell, found in verdicts
-        ],
-    )
+    return BwReport(n, table)
 
 
 def write_records(records: Iterable[InstanceRecord], path: str) -> int:

@@ -4,6 +4,9 @@ every check on the labeled members fires when its premise is broken."""
 from __future__ import annotations
 
 import dataclasses
+import gc
+import random
+import tracemalloc
 
 import pytest
 
@@ -15,11 +18,77 @@ from twoblock.errors import StructuralViolation
 from oracles import audit_bw_labeled
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_rows_equal_labeled_sweep(n):
-    report = harness.audit_bw_claim(n)
-    rows = [(r.tournament_bits, r.k, r.ell, r.contains) for r in report.rows]
-    assert rows == audit_bw_labeled(n)
+@pytest.fixture(scope="module", params=[4, 5])
+def audit(request):
+    """The report at n = 4 and 5 with the labeled sweep's rows."""
+    return harness.audit_bw_claim(request.param), audit_bw_labeled(request.param)
+
+
+def _row(r):
+    return (r.tournament_bits, r.k, r.ell, r.contains)
+
+
+def test_rows_equal_labeled_sweep(audit):
+    report, oracle = audit
+    assert [_row(r) for r in report.rows] == oracle
+
+
+def test_rows_index_like_the_labeled_sweep(audit):
+    report, oracle = audit
+    rows = report.rows
+    assert len(rows) == len(oracle)
+    picks = random.Random(0).sample(range(-len(oracle), len(oracle)), 50)
+    for i in [0, -1, *picks]:
+        assert _row(rows[i]) == oracle[i]
+    for i in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            rows[i]
+
+
+def test_violations_are_the_missing_rows(audit):
+    report, oracle = audit
+    assert [_row(r) for r in report.violations()] == [r for r in oracle if not r[3]]
+
+
+def test_summary_counts_rows_and_violations():
+    assert harness.audit_bw_claim(5).summary() == (
+        "two-block containment audit at n=5: 4096 rows, "
+        "80 violating (tournament, pair) rows"
+    )
+
+
+def test_audit_length_and_csv_build_no_row(monkeypatch):
+    made = []
+
+    class Counting(harness.BwRow):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(harness, "BwRow", Counting)
+    report = harness.audit_bw_claim(5)
+    assert len(report.rows) == 4096
+    report.to_csv()
+    assert made == []
+    assert isinstance(report.rows[-1], Counting) and len(made) == 1
+
+
+def test_report_holds_the_shared_verdict_lists():
+    # One verdict list per class (12 at n = 5) and a pointer per labeled
+    # tournament take about 12 KB; a row object per (tournament, pair)
+    # would take about 310 KB.
+    harness.audit_bw_claim(5)
+    tracemalloc.start()
+    try:
+        report = harness.audit_bw_claim(5)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len({id(verdicts) for verdicts in report.table}) == 12
+    assert held < 64 * 1024
 
 
 @pytest.fixture

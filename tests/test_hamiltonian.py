@@ -11,7 +11,7 @@ from twoblock.detection import (
     hamiltonian_cycle,
     verify_certificate,
 )
-from twoblock.digraph import DiCycle, build_digraph, underlying_graph
+from twoblock.digraph import DiCycle, Digraph, build_digraph, underlying_graph
 from twoblock.errors import NotHamiltonian, PreconditionViolated
 from twoblock.hamiltonian import (
     color_hamiltonian,
@@ -105,6 +105,23 @@ class TestHamDegeneracyOrder:
                     elimination_back_degree(underlying_graph(d), result.order)
                     <= k + ell - 1
                 )
+
+    def test_levels_built_from_masks(self, monkeypatch):
+        # Each level is the previous one's masks with the deleted vertex
+        # cleared and the shortcut set, so no arc set is built or read.
+        d = random_strong_ckl_free(12, 3, 2, seed=5)
+        ham = hamiltonian_cycle(d)
+        built = []
+        init = Digraph.__init__
+
+        def counting(self, n, arcs):
+            built.append(n)
+            init(self, n, arcs)
+
+        monkeypatch.setattr(Digraph, "__init__", counting)
+        order = ham_degeneracy_order(d, ham, 3, 2)
+        assert built == [] and "arcs" not in vars(d)
+        assert elimination_back_degree(underlying_graph(d), order.order) <= 4
 
 
 class TestColorHamiltonian:

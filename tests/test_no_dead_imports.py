@@ -65,3 +65,22 @@ def test_import_loads_no_json_or_process_pool():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_only_the_stdlib_the_package_names():
+    # The stdlib modules ``src/twoblock`` imports at module level, with what
+    # they load; anything else the package import pulls in adds to start-up.
+    named = "argparse, dataclasses, functools, itertools, os, random, sys, typing"
+    code = (
+        f"import {named}\n"
+        "before = set(sys.modules)\n"
+        "import twoblock, twoblock.harness, twoblock.io, twoblock.cli\n"
+        "print(sorted(m for m in set(sys.modules) - before\n"
+        "             if m not in ('__future__', 'twoblock')\n"
+        "             and not m.startswith('twoblock.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
