@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from . import harness, io
+from . import io
 from .coloring import chromatic_number, is_proper
 from .detection import (
     AbsenceReport,
@@ -42,7 +42,6 @@ from .errors import (
     TwoBlockError,
     UsageError,
 )
-from .hamiltonian import color_hamiltonian
 from .pipeline import pipeline_report, run_pipeline
 
 EXIT_OK = 0
@@ -123,6 +122,8 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_ham_color(args) -> int:
+    from .hamiltonian import color_hamiltonian
+
     if args.k < 1 or args.ell < 1:
         raise PreconditionViolated("k and ell must be positive")
     d = io.read_edge_list(args.file)
@@ -204,6 +205,8 @@ def _cmd_verify_figure1(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import harness
+
     if args.workers < 1:
         raise PreconditionViolated("--workers must be at least 1")
     records = harness.search_problem1(args.n, workers=args.workers)
@@ -214,6 +217,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_bondy_check(args) -> int:
+    from . import harness
+
     if args.max_n < 3:
         raise PreconditionViolated("--max-n must be at least 3")
     if args.count < 1:
@@ -230,6 +235,8 @@ def _cmd_bondy_check(args) -> int:
 
 
 def _cmd_bw_audit(args) -> int:
+    from . import harness
+
     report = harness.audit_bw_claim(args.n)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -14,7 +14,6 @@ from typing import Iterable, Iterator
 
 import random
 
-from .coloring import chromatic_number
 from .detection import (
     AbsenceReport,
     TwoBlockCertificate,
@@ -515,6 +514,8 @@ class BondyReport:
 
 
 def _bondy_eval(d: Digraph) -> tuple[int, int]:
+    from .coloring import chromatic_number
+
     return longest_cycle(d).length, chromatic_number(underlying_graph(d))[0]
 
 
@@ -557,7 +558,11 @@ class BwRow:
 
 
 class BwRows:
-    """The rows of a ``BwReport``, read from its table one at a time."""
+    """The rows of a ``BwReport``, read from its table one at a time.
+
+    Indexing, slicing, iteration and ``==`` behave as on the list of rows; a
+    slice builds only the rows it holds.
+    """
 
     __slots__ = ("n", "table")
 
@@ -567,9 +572,18 @@ class BwRows:
     def __len__(self) -> int:
         return len(self.table) * (self.n - 1)
 
-    def __getitem__(self, index: int) -> BwRow:
+    def __getitem__(self, index: int | slice) -> BwRow | list[BwRow]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
         bits, j = divmod(range(len(self))[index], self.n - 1)
         return BwRow(bits, *self.table[bits][j])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (BwRows, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __iter__(self) -> Iterator[BwRow]:
         for bits, verdicts in enumerate(self.table):

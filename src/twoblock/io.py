@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from typing import IO, TYPE_CHECKING
 
-from .coloring import Coloring
 from .digraph import Digraph, add_arc
 from .errors import ParseError, TwoBlockError
 
 if TYPE_CHECKING:
+    from .coloring import Coloring
     from .pipeline import ContractionTrace
 
 

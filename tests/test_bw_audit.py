@@ -57,7 +57,29 @@ def test_summary_counts_rows_and_violations():
     )
 
 
-def test_audit_length_and_csv_build_no_row(monkeypatch):
+def test_rows_slice_like_the_labeled_sweep(audit):
+    report, oracle = audit
+    rows = report.rows
+    for part in (slice(3, 10), slice(-5, None), slice(None, None, -1)):
+        sliced = rows[part]
+        assert isinstance(sliced, list)
+        assert [_row(r) for r in sliced] == oracle[part]
+
+
+def test_rows_compare_like_the_list(audit):
+    report, oracle = audit
+    rows = report.rows
+    listed = [harness.BwRow(*r) for r in oracle]
+    assert rows == rows and rows == listed and listed == rows
+    assert rows == harness.audit_bw_claim(report.n).rows
+    assert rows != listed[:-1] and rows != listed[::-1] and rows != tuple(listed)
+    with pytest.raises(TypeError):
+        hash(rows)
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """The arguments of each ``BwRow`` built while the test runs."""
     made = []
 
     class Counting(harness.BwRow):
@@ -68,11 +90,22 @@ def test_audit_length_and_csv_build_no_row(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(harness, "BwRow", Counting)
+    return made
+
+
+def test_audit_length_and_csv_build_no_row(made):
     report = harness.audit_bw_claim(5)
     assert len(report.rows) == 4096
     report.to_csv()
     assert made == []
-    assert isinstance(report.rows[-1], Counting) and len(made) == 1
+    assert type(report.rows[-1]) is harness.BwRow and len(made) == 1
+
+
+def test_row_slice_builds_only_its_rows(made):
+    rows = harness.audit_bw_claim(5).rows
+    for part, m in ((slice(3, 10), 7), (slice(-5, None), 5), (slice(10, 3), 0)):
+        del made[:]
+        assert len(rows[part]) == m and len(made) == m
 
 
 def test_report_holds_the_shared_verdict_lists():
