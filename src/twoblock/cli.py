@@ -42,7 +42,6 @@ from .errors import (
     TwoBlockError,
     UsageError,
 )
-from .pipeline import pipeline_report, run_pipeline
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -50,6 +49,17 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_CAP = 4
 EXIT_INTERNAL = 5
+
+# The exit code of each error ``main`` reports, every ``OSError`` and
+# ``TwoBlockError``: the first row that matches wins, so a subclass comes
+# before its base class.
+_ERROR_EXIT_CODES = (
+    ((ParseError, OSError), EXIT_USAGE),
+    ((CapExceeded,), EXIT_CAP),
+    ((PreconditionViolated, NotStrong, NotHamiltonian, Acyclic), EXIT_PRECONDITION),
+    ((StructuralViolation, AttachMismatch), EXIT_INTERNAL),
+    ((TwoBlockError,), EXIT_USAGE),
+)
 
 # The five-vertex strong tournament with chi = 5 and no c(4, 1); ships both
 # here and as fixtures/figure1.edges.
@@ -91,6 +101,12 @@ def _emit_coloring(
             fh.write(io.write_dot(d, coloring))
 
 
+def _emit_certificate(cert: TwoBlockCertificate) -> int:
+    print("input contains a two-block cycle; certificate follows")
+    print(io.to_json(cert.to_json_dict()))
+    return EXIT_OK
+
+
 def _cmd_detect(args) -> int:
     d = io.read_edge_list(args.file)
     cap = _resolve_cap(args)
@@ -102,14 +118,14 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_color(args) -> int:
+    from .pipeline import pipeline_report, run_pipeline
+
     d = io.read_edge_list(args.file)
     result = run_pipeline(
         d, args.k, args.ell, detect_cap=_resolve_cap(args), strict=args.strict
     )
     if isinstance(result, TwoBlockCertificate):
-        print("input contains a two-block cycle; certificate follows")
-        print(io.to_json(result.to_json_dict()))
-        return EXIT_OK
+        return _emit_certificate(result)
     if not args.json:
         print(pipeline_report(result))
     _emit_coloring(
@@ -135,9 +151,7 @@ def _cmd_ham_color(args) -> int:
         return _induced_cycle_check(args, d, ham)
     result = color_hamiltonian(d, ham, args.k, args.ell, cap=cap, strict=args.strict)
     if isinstance(result, TwoBlockCertificate):
-        print("input contains a two-block cycle; certificate follows")
-        print(io.to_json(result.to_json_dict()))
-        return EXIT_OK
+        return _emit_certificate(result)
     _emit_coloring(args, d, result)
     return EXIT_OK
 
@@ -150,10 +164,7 @@ def _induced_cycle_check(args, d: Digraph, ham: DiCycle) -> int:
         _, coloring = chromatic_number(underlying_graph(d), cap=_resolve_cap(args))
         _emit_coloring(args, d, coloring)
         return EXIT_OK
-    cert = certify(d, chord, cycle_segment(ham, *chord), 1, 1)
-    print("input contains a two-block cycle; certificate follows")
-    print(io.to_json(cert.to_json_dict()))
-    return EXIT_OK
+    return _emit_certificate(certify(d, chord, cycle_segment(ham, *chord), 1, 1))
 
 
 def _cmd_chromatic(args) -> int:
@@ -327,24 +338,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (OSError, TwoBlockError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (PreconditionViolated, NotStrong, NotHamiltonian, Acyclic) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (StructuralViolation, AttachMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except TwoBlockError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for types, code in _ERROR_EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 """Exact desk-scale solvers for colorability, chromatic number and degeneracy.
 
-These serve double duty: the contraction pipeline asks "is this digraph
-(2k-3)-colorable?" at every step, and the test harness uses the same solvers
-as verification oracles.  Everything here is exact; above the cap the exact
-searches run under the work limit of ``detection``, and a search it cuts
-short raises :class:`CapExceeded` instead of silently approximating.
+The contraction pipeline asks "is this digraph (2k-3)-colorable?" at every
+step, and the test harness uses the same solvers as oracles.  One DSATUR
+search answers colorability: its greedy first descent settles every c <= 2,
+clique bounds refuse next, and only then does the search run with c colors.
+Everything here is exact; above the cap the exact searches run under the
+work limit of ``detection``, and a search it cuts short raises
+:class:`CapExceeded` instead of silently approximating.
 """
 
 from __future__ import annotations
@@ -106,58 +108,17 @@ def _clique_of_size(
     return None
 
 
-def _dsatur_greedy(g: UGraph) -> Coloring:
-    # Saturation-first greedy; an upper bound, exact only by luck.
-    n = g.n
-    colors = [-1] * n
-    neighbor_used = [0] * n
-    uncolored = set(range(n))
-    while uncolored:
-        v = max(
-            uncolored,
-            key=lambda w: (neighbor_used[w].bit_count(), g.degree(w), -w),
-        )
-        c = 0
-        used = neighbor_used[v]
-        while (used >> c) & 1:
-            c += 1
-        colors[v] = c
-        uncolored.remove(v)
-        for w in iter_bits(g.adj_mask[v]):
-            neighbor_used[w] |= 1 << c
-    palette = max(colors) + 1 if n else 0
-    return Coloring(tuple(colors), palette)
-
-
-def _two_color(g: UGraph) -> Coloring | None:
-    colors = [-1] * g.n
-    for root in range(g.n):
-        if colors[root] != -1:
-            continue
-        colors[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for w in iter_bits(g.adj_mask[v]):
-                if colors[w] == -1:
-                    colors[w] = 1 - colors[v]
-                    queue.append(w)
-                elif colors[w] == colors[v]:
-                    return None
-    palette = (max(colors) + 1) if g.n else 0
-    return Coloring(tuple(colors), palette)
-
-
 def k_colorable(g: UGraph, c: int, *, cap: int | None = None) -> Coloring | None:
     """Exact test: a proper coloring with at most ``c`` colors, or ``None``.
 
-    Shortcut paths (no edges, ``c >= n``, bipartite, greedy clique refusal,
-    greedy success) work at any size.  An exact search for a clique of
-    ``c + 1`` vertices refuses next, and only then does the backtracking
-    core run, so every coloring returned is the one it finds.  Above the
-    cap each search may take ``detection._HEURISTIC_BUDGET`` steps: a clique
-    search cut short refuses nothing, and a cut backtracking search raises
-    :class:`CapExceeded`, so ``None`` is always exact.
+    The routes, in order: no edges or ``c >= n`` color at once; the greedy
+    descent, the first descent of :func:`_color_backtrack` with ``n``
+    colors, settles every ``c <= 2``, since it two-colors every bipartite
+    graph; a greedy clique and then an exact search for a clique of ``c + 1``
+    vertices refuse; only then does the search run with ``c`` colors.
+    Above the cap each search may take ``detection._HEURISTIC_BUDGET``
+    steps: a clique search cut short refuses nothing, and a cut search
+    raises :class:`CapExceeded`, so ``None`` is always exact.
     """
     if c < 0:
         raise PreconditionViolated("palette size must be nonnegative")
@@ -172,11 +133,11 @@ def k_colorable(g: UGraph, c: int, *, cap: int | None = None) -> Coloring | None
         return Coloring(tuple(range(n)), n)
     if c == 1:
         return None
-    greedy = _dsatur_greedy(g)
+    greedy = _color_backtrack(g, n, [])
     if greedy.palette_size <= c:
         return greedy
     if c == 2:
-        return _two_color(g)
+        return None
     clique = _greedy_clique(g)
     if len(clique) > c:
         return None
@@ -191,10 +152,14 @@ def _color_backtrack(
     g: UGraph, c: int, clique: list[int], budget: int | None = None
 ) -> Coloring | None:
     # With a ``budget``, the search raises before its ``budget + 1``-th color.
+    # With ``c >= n`` its first descent never backtracks: the least free
+    # color is at most ``max_used + 1``, below ``n``.
     n = g.n
     adj = g.adj_mask
+    degree = [mask.bit_count() for mask in adj]
     colors = [-1] * n
     neighbor_used = [0] * n
+    uncolored = set(range(n)).difference(clique)
     # Pre-color the seed clique; distinct colors there lose no generality.
     for i, v in enumerate(clique):
         colors[v] = i
@@ -209,11 +174,11 @@ def _color_backtrack(
     max_used = len(clique) - 1
     v: int | None = None
     col = 0
-    while len(clique) + len(stack) < n:
+    while uncolored:
         if v is None:
             v = max(
-                (w for w in range(n) if colors[w] == -1),
-                key=lambda w: (neighbor_used[w].bit_count(), g.degree(w), -w),
+                uncolored,
+                key=lambda w: (neighbor_used[w].bit_count(), degree[w], -w),
             )
             col = 0
         limit = min(max_used + 2, c)
@@ -225,6 +190,7 @@ def _color_backtrack(
                 if budget < 0:
                     raise CapExceeded(f"{c}-colorability ran out of its work limit")
             colors[v] = col
+            uncolored.remove(v)
             for w in iter_bits(adj[v]):
                 neighbor_used[w] |= 1 << col
             stack.append((v, col, max_used))
@@ -233,6 +199,7 @@ def _color_backtrack(
         elif stack:
             v, col, max_used = stack.pop()
             colors[v] = -1
+            uncolored.add(v)
             for w in iter_bits(adj[v]):
                 if all(colors[x] != col for x in iter_bits(adj[w])):
                     neighbor_used[w] &= ~(1 << col)

@@ -300,6 +300,9 @@ def random_strong_ckl_free(
     trial is already free); strict detection then proves the result free,
     or raises :class:`CapExceeded` above ``cap``.  The proof is kept on the
     returned object (see ``_sprinkle_chords``).  Deterministic per seed.
+    For ``(k, ell) = (2, 1)`` the result is always the bare Hamiltonian
+    cycle: every non-arc ``x -> y`` closes a ``c(2, 1)`` with the cycle path
+    from ``x`` to ``y``.
     """
     if k < 2 or ell < 1 or ell > k:
         raise PreconditionViolated("need k >= 2 and k >= ell >= 1")

@@ -5,7 +5,7 @@ from io import StringIO
 
 import pytest
 
-from twoblock import cli
+from twoblock import pipeline
 from twoblock.cli import main
 from twoblock.digraph import build_digraph
 from twoblock.errors import AttachMismatch, ParseError, StructuralViolation
@@ -147,7 +147,7 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise error("invariant failed")
 
-        monkeypatch.setattr(cli, "run_pipeline", broken)
+        monkeypatch.setattr(pipeline, "run_pipeline", broken)
         assert main(["color", "--k", "2", "--ell", "1", c6_file]) == 5
         assert "invariant failed" in capsys.readouterr().err
 

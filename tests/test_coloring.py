@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,31 @@ def complete_graph(n):
 
 def cycle_graph(n):
     return UGraph(n, frozenset(tuple(sorted((i, (i + 1) % n))) for i in range(n)))
+
+
+def every_graph(n):
+    # All 2 ** (n choose 2) labelled graphs on n vertices, in edge-bit order.
+    pairs = list(combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        yield bits, UGraph(n, frozenset(p for i, p in enumerate(pairs) if bits >> i & 1))
+
+
+def bfs_two_colorable(g):
+    side = [-1] * g.n
+    for root in range(g.n):
+        if side[root] != -1:
+            continue
+        side[root] = 0
+        queue = [root]
+        for v in queue:
+            for w in range(g.n):
+                if g.adj_mask[v] >> w & 1:
+                    if side[w] == -1:
+                        side[w] = 1 - side[v]
+                        queue.append(w)
+                    elif side[w] == side[v]:
+                        return False
+    return True
 
 
 def petersen():
@@ -65,10 +92,10 @@ class TestKColorable:
         assert k_colorable(UGraph(0, frozenset()), 0) is not None
 
     def test_cap(self, work_limit):
-        # chi = 4 keeps every shortcut (greedy, bipartite, clique) from
-        # resolving c = 3.  Above the cap the backtracking search finishes
-        # within the work limit, so its None is exact; a small limit cuts it
-        # short, and then it refuses.
+        # chi = 4 keeps every shortcut (the greedy descent, the clique
+        # bounds) from resolving c = 3.  Above the cap the backtracking
+        # search finishes within the work limit, so its None is exact; a
+        # small limit cuts it short, and then it refuses.
         g = grotzsch()
         assert k_colorable(g, 3, cap=4) is None
         assert k_colorable(g, 3, cap=11) is None
@@ -173,3 +200,25 @@ def test_degeneracy_and_greedy_invariants(d):
     col = greedy_color_by_order(g, order)
     assert is_proper(g, col)
     assert col.palette_size <= order.bound + 1
+
+
+def test_two_colorable_exactly_when_breadth_first_succeeds():
+    for n in range(7):
+        for _, g in every_graph(n):
+            assert (k_colorable(g, 2) is not None) == bfs_two_colorable(g)
+
+
+# SHA-256 over every answer of ``k_colorable(g, c)`` for each labelled graph
+# with n <= 5 and each c <= n; any changed coloring changes it.
+SMALL_COLORINGS_SHA256 = "fc0d30b9ff2195a180264bac6ad047416f28f88e7ae452196827f83d5f87e8c9"
+
+
+def test_every_small_coloring_is_pinned():
+    digest = hashlib.sha256()
+    for n in range(6):
+        for bits, g in every_graph(n):
+            for c in range(n + 1):
+                found = k_colorable(g, c)
+                answer = "-" if found is None else f"{found.colors} {found.palette_size}"
+                digest.update(f"{n} {bits} {c} {answer}\n".encode())
+    assert digest.hexdigest() == SMALL_COLORINGS_SHA256

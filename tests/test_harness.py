@@ -306,6 +306,11 @@ class TestRandomGenerators:
             d = random_strong_ckl_free(7, 2, 1, seed=seed)
             assert d.arc_count == 7
 
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    def test_k2_ell1_gives_the_bare_cycle(self, n):
+        d = random_strong_ckl_free(n, 2, 1, seed=3)
+        assert d.arc_count == n
+
     def test_deterministic_per_seed(self):
         a = random_strong_ckl_free(8, 3, 2, seed=42)
         b = random_strong_ckl_free(8, 3, 2, seed=42)

@@ -130,7 +130,7 @@ def test_harness_import_loads_what_the_harness_runs():
 
 def test_cli_import_loads_no_harness_or_hamiltonian():
     loaded = loaded_after("twoblock.cli")
-    assert "twoblock.pipeline" in loaded
+    assert "twoblock.pipeline" not in loaded
     assert "twoblock.harness" not in loaded and "twoblock.hamiltonian" not in loaded
 
 
