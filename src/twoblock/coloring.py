@@ -211,8 +211,8 @@ def _color_backtrack(
 
 def chromatic_number(g: UGraph, *, cap: int | None = None) -> tuple[int, Coloring]:
     """Exact chromatic number: the least ``c`` that :func:`k_colorable`
-    accepts, with the coloring it returns."""
-    c = 0
+    accepts, sought from the greedy clique's size up, with its coloring."""
+    c = len(_greedy_clique(g))
     while (coloring := k_colorable(g, c, cap=cap)) is None:
         c += 1
     return c, coloring

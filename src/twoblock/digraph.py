@@ -25,17 +25,21 @@ from .errors import (
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
+    """An iterator over the set bit positions of ``mask`` ascending; it runs
+    over a list, which the search loops iterate faster than a generator."""
+    bits = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        bits.append(low.bit_length() - 1)
         mask ^= low
+    return iter(bits)
 
 
 def reach_mask(
-    adj: tuple[int, ...], start: int, allowed: int, stop: int = 0
+    adj: tuple[int, ...], starts: int, allowed: int, stop: int = 0
 ) -> int:
-    """Vertices reachable from ``start`` inside ``allowed``, including ``start``.
+    """Vertices reachable inside ``allowed`` from the vertex set ``starts``
+    (``1 << v`` for one start), including the starts that lie in ``allowed``.
 
     ``adj[v]`` is the neighbor bitmask of ``v``; pass out-masks for forward
     reachability and in-masks for backward (co-)reachability.  With ``stop``
@@ -43,8 +47,7 @@ def reach_mask(
     the result is then only part of the reachable set, but it meets ``stop``
     exactly when the whole set does.
     """
-    seen = (1 << start) & allowed
-    frontier = seen
+    seen = frontier = starts & allowed
     while frontier and not frontier & stop:
         nxt = 0
         m = frontier
@@ -52,9 +55,8 @@ def reach_mask(
             low = m & -m
             nxt |= adj[low.bit_length() - 1]
             m ^= low
-        nxt &= allowed & ~seen
-        seen |= nxt
-        frontier = nxt
+        frontier = nxt & allowed & ~seen
+        seen |= frontier
     return seen
 
 
@@ -250,8 +252,8 @@ def is_strong(d: Digraph) -> bool:
     full = (1 << d.n) - 1
     return (
         d.n >= 1
-        and reach_mask(d.out_mask, 0, full) == full
-        and reach_mask(d.in_mask, 0, full) == full
+        and reach_mask(d.out_mask, 1, full) == full
+        and reach_mask(d.in_mask, 1, full) == full
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import random
 
@@ -471,6 +471,15 @@ def _class_hits(d: Digraph) -> list[InstanceRecord]:
     return records
 
 
+def _map(fn: Callable, items: list, workers: int, chunksize: int) -> list:
+    """``fn`` of each item in order, on ``workers`` processes if more than one."""
+    if workers <= 1:
+        return [fn(x) for x in items]
+    import concurrent.futures
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))
+
+
 def search_problem1(n: int, *, workers: int = 1) -> list[InstanceRecord]:
     """Strong labeled tournaments on ``n`` vertices missing some ``c(k, ell)``
     with ``k + ell = n``; per-pair verdicts are recorded for every hit.
@@ -489,13 +498,7 @@ def search_problem1(n: int, *, workers: int = 1) -> list[InstanceRecord]:
         raise PreconditionViolated(f"search needs 4 <= n <= {CLASS_CAP}")
     if n > CLASS_CAP:
         raise CapExceeded(f"search needs 4 <= n <= {CLASS_CAP}")
-    classes = tournament_classes(n)
-    if workers > 1:
-        import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_class_hits, classes, chunksize=64))
-    else:
-        results = [_class_hits(d) for d in classes]
+    results = _map(_class_hits, tournament_classes(n), workers, 64)
     hits = [r for records in results for r in records]
     hits.sort(key=lambda r: r.instance_id)
     return hits
@@ -532,12 +535,7 @@ def audit_bondy(instances: Iterable[Digraph], *, workers: int = 1) -> BondyRepor
     for d in digraphs:
         if not is_strong(d):
             raise PreconditionViolated("bondy audit expects strong digraphs")
-    if workers > 1:
-        import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            measured = list(pool.map(_bondy_eval, digraphs, chunksize=8))
-    else:
-        measured = [_bondy_eval(d) for d in digraphs]
+    measured = _map(_bondy_eval, digraphs, workers, 8)
     violations: list[dict[str, object]] = []
     for d, (cycle_len, chi) in zip(digraphs, measured):
         if cycle_len < chi:

@@ -7,6 +7,7 @@ import pytest
 
 from twoblock import pipeline
 from twoblock.cli import main
+from twoblock.detection import TwoBlockCertificate, verify_certificate
 from twoblock.digraph import build_digraph
 from twoblock.errors import AttachMismatch, ParseError, StructuralViolation
 from twoblock.io import read_edge_list, write_dot
@@ -190,6 +191,20 @@ class TestCommands:
 
     def test_ham_color(self, c6_file, capsys):
         assert main(["ham-color", "--k", "2", "--ell", "1", c6_file]) == 0
+
+    @pytest.mark.parametrize("command", ["color", "ham-color"])
+    def test_coloring_commands_print_a_certificate(
+        self, command, c5_chord_file, capsys
+    ):
+        assert main([command, "--k", "2", "--ell", "1", c5_chord_file]) == 0
+        head, body = capsys.readouterr().out.split("\n", 1)
+        assert head == "input contains a two-block cycle; certificate follows"
+        payload = json.loads(body)
+        cert = TwoBlockCertificate(
+            payload["u"], payload["v"], tuple(payload["path_a"]),
+            tuple(payload["path_b"]), payload["k"], payload["ell"],
+        )
+        assert verify_certificate(read_edge_list(c5_chord_file), cert, 2, 1)
 
     def test_ham_color_routes_k_ell_one(self, c6_file, c5_chord_file, capsys):
         assert main(["ham-color", "--k", "1", "--ell", "1", c6_file]) == 0

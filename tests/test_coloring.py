@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
+from twoblock import coloring
 from twoblock.coloring import (
     Coloring,
     chromatic_number,
@@ -121,6 +122,18 @@ class TestChromaticNumber:
         chi, witness = chromatic_number(g)
         assert chi == 3 == oracle_chromatic(g)
         assert is_proper(g, witness)
+
+    def test_starts_at_the_greedy_clique(self, monkeypatch):
+        # Every c below the greedy clique's size is refused, so it is not asked.
+        calls = []
+
+        def counting(g, c, **kwargs):
+            calls.append(c)
+            return k_colorable(g, c, **kwargs)
+
+        monkeypatch.setattr(coloring, "k_colorable", counting)
+        assert chromatic_number(complete_graph(5)) == (5, Coloring(tuple(range(5)), 5))
+        assert calls == [5]
 
 
 class TestDegeneracy:

@@ -150,7 +150,7 @@ class TestFindTwoBlockCycle:
 
 def full_region(d, u, v):
     full = (1 << d.n) - 1
-    return reach_mask(d.out_mask, u, full) & reach_mask(d.in_mask, v, full)
+    return reach_mask(d.out_mask, 1 << u, full) & reach_mask(d.in_mask, 1 << v, full)
 
 
 def gate(d, u, v, region=None):
@@ -260,7 +260,7 @@ def test_gate_from_one_dominator_pass_per_source(d):
     # reads them for every v: the u->v paths there are those of the region.
     full = (1 << d.n) - 1
     for u in range(d.n):
-        reach_u = reach_mask(d.out_mask, u, full)
+        reach_u = reach_mask(d.out_mask, 1 << u, full)
         dom = _dominators(d.out_mask, d.in_mask, u, reach_u)
         for v in range(d.n):
             if v != u and (reach_u >> v) & 1:
@@ -319,14 +319,27 @@ def test_exhaustive_pair_search_matches_oracle(d):
 @settings(max_examples=200, deadline=None)
 @given(digraphs(max_n=7), st.data())
 def test_reach_mask_stop_matches_full_search(d, data):
-    start = data.draw(st.integers(0, d.n - 1))
+    starts = data.draw(st.integers(0, (1 << d.n) - 1))
     allowed = data.draw(st.integers(0, (1 << d.n) - 1))
     stop = data.draw(st.integers(0, (1 << d.n) - 1))
     for adj in (d.out_mask, d.in_mask):
-        full = reach_mask(adj, start, allowed)
-        part = reach_mask(adj, start, allowed, stop)
+        full = reach_mask(adj, starts, allowed)
+        part = reach_mask(adj, starts, allowed, stop)
         assert part & ~full == 0
         assert bool(part & stop) == bool(full & stop)
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs(max_n=7), st.data())
+def test_reach_mask_from_a_set_is_the_union_of_its_starts(d, data):
+    starts = data.draw(st.integers(0, (1 << d.n) - 1))
+    allowed = data.draw(st.integers(0, (1 << d.n) - 1))
+    for adj in (d.out_mask, d.in_mask):
+        union = 0
+        for v in range(d.n):
+            if (starts >> v) & 1:
+                union |= reach_mask(adj, 1 << v, allowed)
+        assert reach_mask(adj, starts, allowed) == union
 
 
 class TestIterativeSearches:

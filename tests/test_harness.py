@@ -412,6 +412,10 @@ class TestAudits:
         report = audit_bondy([fig1])
         assert not report.violations
 
+    def test_bondy_pooled_matches_serial(self, fig1):
+        instances = [fig1] + [random_strong_digraph(7, seed) for seed in range(6)]
+        assert audit_bondy(instances, workers=2) == audit_bondy(instances)
+
     def test_bondy_rejects_non_strong(self):
         with pytest.raises(PreconditionViolated):
             audit_bondy([build_digraph(2, [(0, 1)])])

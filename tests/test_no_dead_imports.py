@@ -1,5 +1,6 @@
-"""No library module imports a name it never uses, and importing the
-package loads no module that only a rarely used function needs.
+"""No library module imports a name it never uses, no private helper
+outlives its last caller, and importing the package loads no module that
+only a rarely used function needs.
 """
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -85,6 +87,44 @@ def test_library_has_no_unused_imports():
         if (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert not found, f"imported but never used: {found}"
+
+
+def reads(tree: ast.AST) -> Counter[str]:
+    """How often each name is read in ``tree``, as a name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """The private top-level functions and classes of ``sources`` (file name
+    to text) that nothing outside their own definition reads."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    everywhere = sum((reads(tree) for tree in trees.values()), Counter())
+    return sorted(
+        f"{file}::{node.name}"
+        for file, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and everywhere[node.name] == reads(node)[node.name]
+    )
+
+
+def test_guard_sees_an_unreferenced_private_helper():
+    sources = {
+        "a.py": "def _used():\n    return 1\n\n\ndef _dead(n):\n    return _dead(n)\n",
+        "b.py": "from a import _used\nx = _used()\n",
+    }
+    assert unreferenced_private_definitions(sources) == ["a.py::_dead"]
+
+
+def test_every_private_definition_is_referenced():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert unreferenced_private_definitions(sources) == []
 
 
 def test_import_loads_no_json_or_process_pool():

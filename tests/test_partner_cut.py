@@ -44,7 +44,7 @@ def test_cut_fires_only_on_partial_paths_without_partner(d, data):
     ll = data.draw(st.integers(1, max(1, d.n - 1)))
     kk = data.draw(st.integers(ll, max(ll, d.n - 1)))
     full = (1 << d.n) - 1
-    region = reach_mask(d.out_mask, u, full) & reach_mask(d.in_mask, v, full)
+    region = reach_mask(d.out_mask, 1 << u, full) & reach_mask(d.in_mask, 1 << v, full)
     fired = []
     no_partner = detection._no_partner
 

@@ -227,6 +227,26 @@ class TestExtractCycleTree:
         assert shared == {2}
 
 
+    def test_contracted_vertex_outside_the_class(self):
+        # Two directed 4-cycles joined by 3->4 and 7->0, contracted one after
+        # the other: each class's replay meets a step whose new vertex lies
+        # outside it and maps the class through that step unchanged.
+        arcs = [(i, (i + 1) % 4) for i in range(4)]
+        arcs += [(4 + i, 4 + (i + 1) % 4) for i in range(4)] + [(3, 4), (7, 0)]
+        d = build_digraph(8, arcs)
+        d1, pmap1 = contract(d, range(4))
+        d2, pmap2 = contract(d1, range(4))
+        ring = DiCycle((0, 1, 2, 3))
+        steps = (TraceStep(d, ring, pmap1, 4), TraceStep(d1, ring, pmap2, 1))
+        trace = ContractionTrace(3, 1, steps, d2, Coloring((0, 1), 2), True)
+        for s, klass in ((0, (0, 1, 2, 3)), (1, (4, 5, 6, 7))):
+            tree = extract_cycle_tree(trace, s)
+            assert tree is not None and len(tree.cycles) == 1
+            f, corr = induced(d, trace.preimage_class(s))
+            assert corr == klass
+            validate_cycle_tree(f, tree, trace.lengths(), 3)
+
+
 class TestTreeAndCyclePaths:
     def test_single_cycle_tree_path_is_cycle_segment(self):
         tree = _build_cycle_tree(4, [[0, 1, 2, 3]])
